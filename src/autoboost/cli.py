@@ -22,6 +22,7 @@ import numpy as np
 from .data import DataError, Dataset, load_csv, majority_baseline
 from .metrics import get_measure, logloss, mmce, rmse
 from .pipeline import AutoConfig, BundleError, autogbt_fit, autogbt_predict, load, save
+from .smbo import TuneError, history_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,7 +165,7 @@ def run_benchmark(
                 report.seeds.append(seed + r)
                 report.wall_times.append(time.monotonic() - started)
             report.aggregated = bootstrap_aggregate(report.run_values, B, size, seed, agg)
-        except (DataError, ValueError, OSError) as exc:
+        except (DataError, ValueError, OSError, TuneError) as exc:
             report.error = str(exc)
     return BenchmarkReport(
         datasets=reports,
@@ -207,6 +208,7 @@ def read_benchmark_spec(path: str | Path) -> list[BenchmarkTask]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -267,26 +269,13 @@ def _cmd_fit(args) -> int:
     model = autogbt_fit(data, cfg)
     save(model, args.out)
     if args.history:
-        Path(args.history).write_text(_history_csv(model), encoding="utf-8")
+        Path(args.history).write_text(history_csv(model.history["evaluations"]), encoding="utf-8")
     value = model.fit_report["objective_value"]
     print(f"fitted {data.task} pipeline on {data.n_rows} rows")
     print(f"validation {model.measure}: {value:.6g} "
           f"({len(model.history['evaluations'])} configurations tried)")
     print(f"bundle written to {args.out}")
     return EXIT_OK
-
-
-def _history_csv(model) -> str:
-    from .smbo import simple_space
-
-    names = simple_space().names
-    lines = ["iteration," + ",".join(names) + ",objective,seconds"]
-    for i, rec in enumerate(model.history["evaluations"], start=1):
-        row = [str(i)]
-        row += [repr(rec["config"][name]) for name in names]
-        row += [repr(rec["value"]), f"{rec['elapsed']:.3f}"]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_predict(args) -> int:
@@ -324,6 +313,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # The tuner's initial design needs two points, and boosting one round.
+        if args.command != "predict" and args.budget < 2:
+            parser.error(f"argument --budget: expected an integer >= 2, got {args.budget}")
+        if args.command != "predict" and args.max_rounds < 1:
+            parser.error(f"argument --max-rounds: expected an integer >= 1, got {args.max_rounds}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

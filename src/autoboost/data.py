@@ -168,11 +168,18 @@ class Dataset:
     def target_values(self) -> np.ndarray:
         return self.target_column.values
 
-    def class_indices(self) -> np.ndarray:
-        """Target labels as integer indices into the sorted class list."""
-        classes = self.classes
+    def class_indices(self, classes: tuple[str, ...]) -> np.ndarray:
+        """Target labels as integer indices into ``classes``.
+
+        Pass the training split's classes for every split of one fit, so a
+        label means the same index in each. A label not in ``classes``
+        raises DataError.
+        """
         lookup = {label: i for i, label in enumerate(classes)}
-        return np.asarray([lookup[v] for v in self.target_values()], dtype=np.intp)
+        try:
+            return np.asarray([lookup[v] for v in self.target_values()], dtype=np.intp)
+        except KeyError as exc:
+            raise DataError(f"label {exc.args[0]!r} not present in training data") from None
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Gradient-boosted regression trees with second-order loss expansion.
 
-Trees are grown by exact greedy split search over presorted feature values,
-with the regularized gain of second-order boosting, learned default
+Trees are grown by exact greedy split search over feature values sorted per
+node, with the regularized gain of second-order boosting, learned default
 directions for missing values, row subsampling, and column subsampling both
 per tree and per depth level. Boosting-round count is chosen by early
-stopping on a validation set.
+stopping on a validation set. The booster works on arrays: a feature matrix
+and integer class indices (or float targets) in, trees as parallel node
+arrays out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError
 from .metrics import Measure, logloss, mmce, rmse
 
 _NEG_INF = -np.inf
@@ -56,20 +59,39 @@ class GBTConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
-@dataclass
-class TreeNode:
-    """Binary tree node; ``feature < 0`` marks a leaf carrying ``weight``."""
+class Tree(NamedTuple):
+    """One regression tree as parallel node arrays; node 0 is the root.
 
-    feature: int = -1
-    threshold: float = 0.0
-    default_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
+    A node with ``feature < 0`` is a leaf whose output is ``value``. Any other
+    node sends a row to ``left`` when its feature is below ``threshold``, to
+    ``right`` otherwise, and a missing feature value goes left iff
+    ``default_left``. Nodes are numbered in the depth-wise order they grow.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    feature: np.ndarray  # intp, -1 at leaves
+    threshold: np.ndarray  # float64
+    default_left: np.ndarray  # bool
+    left: np.ndarray  # intp child index, -1 at leaves
+    right: np.ndarray  # intp child index, -1 at leaves
+    value: np.ndarray  # float64 leaf output, learning rate applied; 0 inside
+
+    @classmethod
+    def from_lists(cls, **fields) -> "Tree":
+        """Build a tree from one sequence per field, cast to the field dtypes."""
+        return cls(**{
+            name: np.asarray(fields[name], dtype=dt) for name, (dt, _) in _NODE_FIELDS.items()
+        })
+
+
+# Field name -> (dtype, value of a fresh node, which is a leaf until it splits).
+_NODE_FIELDS = {
+    "feature": (np.intp, -1),
+    "threshold": (np.float64, 0.0),
+    "default_left": (bool, True),
+    "left": (np.intp, -1),
+    "right": (np.intp, -1),
+    "value": (np.float64, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -82,13 +104,11 @@ class BoostedModel:
     """
 
     task: str
-    classes: tuple[str, ...] | None
     base_score: np.ndarray  # shape () for regression/binary, (K,) for multiclass
-    rounds: tuple[tuple[TreeNode, ...], ...]
+    rounds: tuple[tuple[Tree, ...], ...]
     best_iteration: int
     valid_history: tuple[float, ...]
     n_features: int
-    feature_names: tuple[str, ...]
 
 
 def loss_grad_hess(task: str, scores: np.ndarray, y: np.ndarray):
@@ -250,7 +270,7 @@ def build_tree(
     cols: np.ndarray | None = None,
     colsample_bylevel: float = 1.0,
     rng=None,
-) -> TreeNode:
+) -> Tree:
     """Grow a single regression tree on gradients/hessians.
 
     Growth is depth-wise; every level draws its own column subset (shared by
@@ -261,54 +281,59 @@ def build_tree(
         cols = np.arange(X.shape[1])
     if rng is None:
         rng = np.random.default_rng(0)
-    root = TreeNode()
-    frontier: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(len(g)))]
+    nodes: dict[str, list] = {name: [] for name in _NODE_FIELDS}
+
+    def add_node() -> int:
+        for name, (_, fresh) in _NODE_FIELDS.items():
+            nodes[name].append(fresh)
+        return len(nodes["feature"]) - 1
+
+    def finish_leaf(node: int, rows: np.ndarray) -> None:
+        nodes["value"][node] = eta * leaf_weight(
+            float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha
+        )
+
+    frontier: list[tuple[int, np.ndarray]] = [(add_node(), np.arange(len(g)))]
     for _ in range(max_depth):
         if not frontier:
             break
         level_cols = _sample_cols(cols, colsample_bylevel, rng)
-        next_frontier: list[tuple[TreeNode, np.ndarray]] = []
+        next_frontier: list[tuple[int, np.ndarray]] = []
         for node, rows in frontier:
             split = _best_split(X, g, h, rows, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
             if split is None or not (split.gain > 0.0):
-                _finish_leaf(node, g, h, rows, reg_lambda, reg_alpha, eta)
+                finish_leaf(node, rows)
                 continue
-            node.feature = split.feature
-            node.threshold = split.threshold
-            node.default_left = split.default_left
+            nodes["feature"][node] = split.feature
+            nodes["threshold"][node] = split.threshold
+            nodes["default_left"][node] = split.default_left
             x = X[rows, split.feature]
-            miss = np.isnan(x)
             go_left = x < split.threshold
-            go_left[miss] = split.default_left
-            node.left = TreeNode()
-            node.right = TreeNode()
-            next_frontier.append((node.left, rows[go_left]))
-            next_frontier.append((node.right, rows[~go_left]))
+            go_left[np.isnan(x)] = split.default_left
+            left, right = add_node(), add_node()
+            nodes["left"][node], nodes["right"][node] = left, right
+            next_frontier += [(left, rows[go_left]), (right, rows[~go_left])]
         frontier = next_frontier
     for node, rows in frontier:
-        _finish_leaf(node, g, h, rows, reg_lambda, reg_alpha, eta)
-    return root
+        finish_leaf(node, rows)
+    return Tree.from_lists(**nodes)
 
 
-def _finish_leaf(node, g, h, rows, reg_lambda, reg_alpha, eta):
-    node.feature = -1
-    node.weight = eta * leaf_weight(float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha)
-
-
-def _tree_outputs(node: TreeNode, X: np.ndarray) -> np.ndarray:
+def _tree_outputs(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, by splitting row sets down the tree from the root."""
     out = np.empty(len(X), dtype=np.float64)
-    stack = [(node, np.arange(len(X)))]
+    stack = [(0, np.arange(len(X)))]
     while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.weight
+        node, idx = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            out[idx] = tree.value[node]
             continue
-        x = X[idx, nd.feature]
-        miss = np.isnan(x)
-        go_left = x < nd.threshold
-        go_left[miss] = nd.default_left
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
+        x = X[idx, f]
+        go_left = x < tree.threshold[node]
+        go_left[np.isnan(x)] = tree.default_left[node]
+        stack.append((tree.left[node], idx[go_left]))
+        stack.append((tree.right[node], idx[~go_left]))
     return out
 
 
@@ -339,8 +364,22 @@ def _scores_to_probs(task: str, scores: np.ndarray) -> np.ndarray:
     return _softmax(scores)
 
 
-def train(train_ds: Dataset, valid_ds: Dataset, cfg: GBTConfig, measure: Measure) -> BoostedModel:
-    """Boost with early stopping monitored on the validation split.
+def train(
+    X: np.ndarray,
+    y: np.ndarray,
+    X_valid: np.ndarray,
+    y_valid: np.ndarray,
+    task: str,
+    n_classes: int,
+    cfg: GBTConfig,
+    measure: Measure,
+) -> BoostedModel:
+    """Boost with early stopping monitored on the validation arrays.
+
+    ``X`` and ``X_valid`` are float feature matrices with NaN for missing
+    cells. ``y`` and ``y_valid`` are float targets for regression and class
+    indices in ``range(n_classes)`` for classification; ``n_classes`` sizes
+    the multiclass score matrix and is ignored otherwise.
 
     A round trains one tree (K for multiclass) on a fresh seeded row
     subsample and tree-level column sample, updates train/valid raw scores,
@@ -348,46 +387,27 @@ def train(train_ds: Dataset, valid_ds: Dataset, cfg: GBTConfig, measure: Measure
     validation value has not improved for ``patience`` consecutive rounds or
     at ``max_rounds``; ``best_iteration`` is the earliest argmin.
     """
-    if train_ds.n_rows == 0:
+    if len(X) == 0:
         raise DataError("cannot train on an empty dataset")
-    if valid_ds.n_rows == 0:
+    if len(X_valid) == 0:
         raise DataError("validation split has zero rows")
-    if train_ds.feature_schema != valid_ds.feature_schema:
-        raise DataError("train and validation feature schemas differ")
-    task = train_ds.task
-    X = train_ds.feature_matrix()
-    Xv = valid_ds.feature_matrix()
     n, d = X.shape
     if d == 0:
         raise DataError("dataset has no feature columns")
-
-    if task == "regression":
-        y = np.asarray(train_ds.target_values(), dtype=np.float64)
-        yv = np.asarray(valid_ds.target_values(), dtype=np.float64)
-        classes = None
-        n_out = 1
-    else:
-        classes = train_ds.classes
-        lookup = {c: i for i, c in enumerate(classes)}
-        y = np.asarray([lookup[v] for v in train_ds.target_values()], dtype=np.intp)
-        yv_raw = valid_ds.target_values()
-        unknown = [v for v in yv_raw if v not in lookup]
-        if unknown:
-            raise DataError(f"validation label {unknown[0]!r} not present in training data")
-        yv = np.asarray([lookup[v] for v in yv_raw], dtype=np.intp)
-        n_out = len(classes) if task == "multiclass" else 1
+    if X_valid.shape[1] != d:
+        raise DataError(f"train has {d} feature columns, validation has {X_valid.shape[1]}")
+    n_out = n_classes if task == "multiclass" else 1
 
     base = _base_score(task, y, n_out)
-    if task == "multiclass":
-        scores = np.tile(base, (n, 1))
-        scores_v = np.tile(base, (Xv.shape[0], 1))
-    else:
-        scores = np.full(n, float(base))
-        scores_v = np.full(Xv.shape[0], float(base))
+    # Raw scores are (rows, n_out), one column per output's trees; the loss
+    # and the monitor read 1-D views when there is a single output.
+    scores = np.tile(base, (n, 1))
+    scores_v = np.tile(base, (len(X_valid), 1))
+    raw, raw_v = (scores, scores_v) if task == "multiclass" else (scores[:, 0], scores_v[:, 0])
 
     rng = np.random.default_rng(cfg.seed)
     all_cols = np.arange(d)
-    rounds: list[tuple[TreeNode, ...]] = []
+    rounds: list[tuple[Tree, ...]] = []
     history: list[float] = []
     best_value = np.inf
     stale = 0
@@ -399,36 +419,23 @@ def train(train_ds: Dataset, valid_ds: Dataset, cfg: GBTConfig, measure: Measure
         else:
             rows = np.arange(n)
         Xs = X[rows]
-
-        if task == "multiclass":
-            g_all, h_all = loss_grad_hess(task, scores[rows], y[rows])
-            group = []
-            for c in range(n_out):
-                tree_cols = _sample_cols(all_cols, cfg.colsample_bytree, rng)
-                tree = build_tree(
-                    Xs, g_all[:, c], h_all[:, c],
-                    max_depth=cfg.max_depth, reg_lambda=cfg.reg_lambda,
-                    reg_alpha=cfg.reg_alpha, gamma=cfg.gamma, eta=cfg.eta,
-                    cols=tree_cols, colsample_bylevel=cfg.colsample_bylevel, rng=rng,
-                )
-                group.append(tree)
-                scores[:, c] += _tree_outputs(tree, X)
-                scores_v[:, c] += _tree_outputs(tree, Xv)
-            rounds.append(tuple(group))
-        else:
-            g, h = loss_grad_hess(task, scores[rows], y[rows])
+        g, h = loss_grad_hess(task, raw[rows], y[rows])
+        g, h = g.reshape(len(rows), n_out), h.reshape(len(rows), n_out)
+        group = []
+        for c in range(n_out):
             tree_cols = _sample_cols(all_cols, cfg.colsample_bytree, rng)
             tree = build_tree(
-                Xs, g, h,
+                Xs, g[:, c], h[:, c],
                 max_depth=cfg.max_depth, reg_lambda=cfg.reg_lambda,
                 reg_alpha=cfg.reg_alpha, gamma=cfg.gamma, eta=cfg.eta,
                 cols=tree_cols, colsample_bylevel=cfg.colsample_bylevel, rng=rng,
             )
-            rounds.append((tree,))
-            scores += _tree_outputs(tree, X)
-            scores_v += _tree_outputs(tree, Xv)
+            group.append(tree)
+            scores[:, c] += _tree_outputs(tree, X)
+            scores_v[:, c] += _tree_outputs(tree, X_valid)
+        rounds.append(tuple(group))
 
-        value = _monitor_value(measure, task, scores_v, yv)
+        value = _monitor_value(measure, task, raw_v, y_valid)
         history.append(value)
         if value < best_value:
             best_value = value
@@ -441,13 +448,11 @@ def train(train_ds: Dataset, valid_ds: Dataset, cfg: GBTConfig, measure: Measure
     best_iteration = int(np.argmin(history)) + 1
     return BoostedModel(
         task=task,
-        classes=classes,
         base_score=base,
         rounds=tuple(rounds),
         best_iteration=best_iteration,
         valid_history=tuple(history),
         n_features=d,
-        feature_names=tuple(c.name for c in train_ds.feature_columns),
     )
 
 
@@ -465,16 +470,12 @@ def predict(model: BoostedModel, X: np.ndarray, upto: int | None = None) -> np.n
             f"{X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
     n_rounds = model.best_iteration if upto is None else max(0, min(upto, model.best_iteration))
-    if model.task == "multiclass":
-        scores = np.tile(model.base_score, (len(X), 1))
-        for group in model.rounds[:n_rounds]:
-            for c, tree in enumerate(group):
-                scores[:, c] += _tree_outputs(tree, X)
-        return _softmax(scores)
-    scores = np.full(len(X), float(model.base_score))
+    scores = np.tile(model.base_score, (len(X), 1))
     for group in model.rounds[:n_rounds]:
-        scores += _tree_outputs(group[0], X)
+        for c, tree in enumerate(group):
+            scores[:, c] += _tree_outputs(tree, X)
+    if model.task == "multiclass":
+        return _softmax(scores)
     if model.task == "binary":
-        p = _sigmoid(scores)
-        return np.column_stack([1.0 - p, p])
-    return scores
+        return _scores_to_probs("binary", scores[:, 0])
+    return scores[:, 0]

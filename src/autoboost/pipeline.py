@@ -5,7 +5,7 @@ incumbent's early-stopped boosted model, optimized thresholds, and the full
 tuning history. The model of the best completed evaluation is kept as-is
 (no refit on merged data, which would invalidate the early-stopped round
 count). Bundles are versioned, checksummed JSON documents whose numbers
-round-trip exactly.
+round-trip exactly; each tree is stored as its node arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .smbo import decode_config, simple_space, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
 FORMAT_NAME = "autoboost-pipeline"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class BundleError(ValueError):
@@ -125,12 +125,19 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     enc = fit_encoders(split.train, cfg.k, cfg.high_card_strategy, cfg.m)
     train_enc = transform(enc, split.train)
     valid_enc = transform(enc, split.valid)
+    x_train = train_enc.feature_matrix()
     x_valid = valid_enc.feature_matrix()
+    # The one place labels become indices: both splits map through the
+    # training classes, so a class missing from the holdout shifts nothing.
     if classification:
         classes = train_enc.classes
-        y_valid = valid_enc.class_indices()
+        n_classes = len(classes)
+        y_train = train_enc.class_indices(classes)
+        y_valid = valid_enc.class_indices(classes)
     else:
         classes = None
+        n_classes = 1
+        y_train = np.asarray(train_enc.target_values(), dtype=np.float64)
         y_valid = np.asarray(valid_enc.target_values(), dtype=np.float64)
 
     space = simple_space()
@@ -139,14 +146,14 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     def objective(point: np.ndarray) -> float:
         params = decode_config(point, space)
         gcfg = _gbt_config(params, cfg)
-        model = gbt.train(train_enc, valid_enc, gcfg, measure)
+        model = gbt.train(x_train, y_train, x_valid, y_valid, task, n_classes, gcfg, measure)
         preds = gbt.predict(model, x_valid)
         thresholds: ThresholdVector | None = None
         if not classification:
             value = rmse(preds, y_valid)
         elif measure.requires == "probabilities":
             value = logloss(preds, y_valid)
-            thresholds = _default_thresholds(task, len(classes))
+            thresholds = _default_thresholds(task, n_classes)
         elif task == "binary":
             thresholds, value = optimize_binary(preds[:, 1], y_valid, mmce)
         else:
@@ -228,53 +235,28 @@ def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
 # Bundle serialization
 
 
-def _tree_to_record(node: gbt.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": f"{node.threshold:.17g}",
-        "default": "left" if node.default_left else "right",
-        "left": _tree_to_record(node.left),
-        "right": _tree_to_record(node.right),
-    }
-
-
-def _record_to_tree(rec: dict) -> gbt.TreeNode:
-    if "leaf" in rec:
-        return gbt.TreeNode(feature=-1, weight=float(rec["leaf"]))
-    return gbt.TreeNode(
-        feature=int(rec["feature"]),
-        threshold=float(rec["threshold"]),
-        default_left=rec["default"] == "left",
-        left=_record_to_tree(rec["left"]),
-        right=_record_to_tree(rec["right"]),
-    )
-
-
 def _model_to_dict(m: gbt.BoostedModel) -> dict:
     return {
         "task": m.task,
-        "classes": list(m.classes) if m.classes is not None else None,
         "base_score": np.asarray(m.base_score).tolist(),
-        "rounds": [[_tree_to_record(t) for t in group] for group in m.rounds],
+        "rounds": [
+            [{name: a.tolist() for name, a in tree._asdict().items()} for tree in group]
+            for group in m.rounds
+        ],
         "best_iteration": m.best_iteration,
         "valid_history": list(m.valid_history),
         "n_features": m.n_features,
-        "feature_names": list(m.feature_names),
     }
 
 
 def _model_from_dict(d: dict) -> gbt.BoostedModel:
     return gbt.BoostedModel(
         task=d["task"],
-        classes=tuple(d["classes"]) if d["classes"] is not None else None,
         base_score=np.asarray(d["base_score"]),
-        rounds=tuple(tuple(_record_to_tree(r) for r in group) for group in d["rounds"]),
+        rounds=tuple(tuple(gbt.Tree.from_lists(**rec) for rec in group) for group in d["rounds"]),
         best_iteration=int(d["best_iteration"]),
         valid_history=tuple(float(v) for v in d["valid_history"]),
         n_features=int(d["n_features"]),
-        feature_names=tuple(d["feature_names"]),
     )
 
 

@@ -447,13 +447,18 @@ def _penalize_nonfinite(state: TuneState) -> None:
             r.value = penalty
 
 
-def history_csv(state: TuneState) -> str:
-    """Tuning history as CSV: iteration, raw parameters, objective, seconds."""
-    header = ["iteration", *state.space.names, "objective", "seconds"]
-    lines = [",".join(header)]
-    for i, rec in enumerate(state.evaluated, start=1):
+def history_csv(evaluations) -> str:
+    """Tuning history as CSV: iteration, raw parameters, objective, seconds.
+
+    ``evaluations`` are mappings with the decoded ``config`` over the
+    ``simple_space`` parameters, the objective ``value`` and the cumulative
+    ``elapsed`` seconds, as in a fitted pipeline's ``history["evaluations"]``.
+    """
+    names = simple_space().names
+    lines = [",".join(["iteration", *names, "objective", "seconds"])]
+    for i, rec in enumerate(evaluations, start=1):
         row = [str(i)]
-        row += [repr(rec.config[name]) for name in state.space.names]
-        row += [repr(rec.value), f"{rec.elapsed:.3f}"]
+        row += [repr(rec["config"][name]) for name in names]
+        row += [repr(rec["value"]), f"{rec['elapsed']:.3f}"]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from autoboost.encoding import fit_encoders, transform
 from autoboost.gbt import build_tree, loss_grad_hess
 from autoboost.metrics import mmce
 from autoboost.pipeline import (
+    FORMAT_VERSION,
     AutoConfig,
     BundleError,
     BundleVersionError,
@@ -102,14 +103,14 @@ def test_criterion_2_depth1_tree_matches_exhaustive_oracle():
                 X[rng.uniform(size=(n, d)) < 0.2] = np.nan
             g = rng.normal(size=n)
             h = np.ones(n)
-            root = build_tree(
+            tree = build_tree(
                 X, g, h, max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0
             )
             oracle, margin = depth1_oracle(X, g, h, 0.0)
-            if root.is_leaf:
+            if tree.feature[0] < 0:
                 assert oracle is None or oracle[0] <= 0.0
                 continue
-            assert_split_matches_oracle(root, oracle, margin, X, g, h)
+            assert_split_matches_oracle(tree, oracle, margin, X, g, h)
     report(2, "depth-1 splits match the exhaustive oracle on 50 datasets (exact up to gain ties)", t)
 
 
@@ -330,9 +331,10 @@ def test_criterion_10_bundle_roundtrip_and_tamper_detection(tmp_path):
         (tmp_path / "tampered.bundle").write_text(json.dumps(doc))
         with pytest.raises(BundleError):
             load(tmp_path / "tampered.bundle")
-        doc = json.loads(text)
-        doc["version"] = 2
-        (tmp_path / "future.bundle").write_text(json.dumps(doc))
-        with pytest.raises(BundleVersionError):
-            load(tmp_path / "future.bundle")
+        for version in (FORMAT_VERSION + 1, 1):
+            doc = json.loads(text)
+            doc["version"] = version
+            (tmp_path / "foreign.bundle").write_text(json.dumps(doc))
+            with pytest.raises(BundleVersionError):
+                load(tmp_path / "foreign.bundle")
     report(10, "bundle round-trips bit-identically; tampering and foreign versions raise", t)

@@ -128,6 +128,19 @@ class TestRunBenchmark:
         tsv = report.to_tsv()
         assert "broken" in tsv and "toy" in tsv
 
+    def test_tuner_error_recorded_and_rest_continue(self, csv_pair):
+        base, train, test = csv_pair
+        tasks = [
+            BenchmarkTask("first", train, test, "label", "mmce"),
+            BenchmarkTask("second", train, test, "label", "mmce"),
+        ]
+        cfg = AutoConfig(budget=1, deadline=60.0, max_rounds=20, patience=4)
+        report = run_benchmark(tasks, cfg, repetitions=1, B=100, size=1, seed=1)
+        assert [d.name for d in report.datasets] == ["first", "second"]
+        for d in report.datasets:
+            assert "n_init must be >= 2" in d.error
+            assert d.run_values == []
+
     def test_report_formats(self, csv_pair):
         base, train, test = csv_pair
         tasks = [BenchmarkTask("toy", train, test, "label", "mmce")]
@@ -196,6 +209,22 @@ class TestCliCommands:
     def test_usage_error_exit_code(self):
         assert main(["fit", "--data", "x.csv"]) == 1  # missing required args
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--budget", "1"), ("--budget", "0"), ("--budget", "-3"),
+         ("--max-rounds", "0"), ("--max-rounds", "-1")],
+    )
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_out_of_range_counts_are_usage_errors(self, command, flag, value, tmp_path, capsys):
+        required = {
+            "fit": ["--data", str(tmp_path / "d.csv"), "--target", "y"],
+            "benchmark": ["--spec", str(tmp_path / "bench.tsv")],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *required, flag, value, "--out", str(out)]) == 1
+        assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
         code = main([

@@ -9,7 +9,7 @@ from autoboost.data import Column, DataError, Dataset
 from autoboost.gbt import (
     BoostedModel,
     GBTConfig,
-    TreeNode,
+    Tree,
     build_tree,
     leaf_weight,
     loss_grad_hess,
@@ -169,18 +169,23 @@ def direct_gain(X, g, h, feature, thr, default_left, lam):
     )
 
 
-def assert_split_matches_oracle(root, oracle, margin, X, g, h, lam=0.0):
-    """The chosen split must be the oracle's, up to exact gain ties.
+def root_split(tree):
+    """(feature, threshold, default_left) of node 0, the root of ``tree``."""
+    return int(tree.feature[0]), float(tree.threshold[0]), bool(tree.default_left[0])
+
+
+def assert_split_matches_oracle(tree, oracle, margin, X, g, h, lam=0.0):
+    """The root split must be the oracle's, up to exact gain ties.
 
     A unique optimum (margin above the 1e-9 tolerance) demands the identical
     (feature, threshold, direction) triple; under an exact tie any candidate
     whose gain matches the optimum within 1e-9 is an equally correct answer.
     """
     gain, f, thr, default_left = oracle
-    impl_gain = direct_gain(X, g, h, root.feature, root.threshold, root.default_left, lam)
+    impl_gain = direct_gain(X, g, h, *root_split(tree), lam)
     assert abs(impl_gain - gain) <= 1e-9
     if margin > 1e-9:
-        assert (root.feature, root.threshold, root.default_left) == (f, thr, default_left)
+        assert root_split(tree) == (f, thr, default_left)
 
 
 class TestExactSplitOracle:
@@ -195,14 +200,28 @@ class TestExactSplitOracle:
             y = rng.normal(size=n)
             g = -y  # squared loss at scores 0
             h = np.ones(n)
-            root = build_tree(
+            tree = build_tree(
                 X, g, h, max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0
             )
             oracle, margin = depth1_oracle(X, g, h, 0.0)
-            if root.is_leaf:
+            if tree.feature[0] < 0:
                 assert oracle is None or oracle[0] <= 0.0
                 continue
-            assert_split_matches_oracle(root, oracle, margin, X, g, h)
+            assert_split_matches_oracle(tree, oracle, margin, X, g, h)
+
+
+def arrays(ds):
+    """Feature matrix and targets of ``ds``: class indices or float values."""
+    if ds.task == "regression":
+        return ds.feature_matrix(), np.asarray(ds.target_values(), dtype=np.float64)
+    return ds.feature_matrix(), ds.class_indices(ds.classes)
+
+
+def fit(ds, cfg, measure):
+    """Train on the arrays of ``ds``, which also serves as the validation set."""
+    X, y = arrays(ds)
+    n_classes = len(ds.classes) if ds.task != "regression" else 1
+    return train(X, y, X, y, ds.task, n_classes, cfg, get_measure(measure))
 
 
 class TestTraining:
@@ -221,7 +240,7 @@ class TestTraining:
         labels = ["neg"] * 20 + ["pos"] * 20
         ds = self._tiny(x, labels)
         cfg = GBTConfig(eta=0.3, max_depth=1, max_rounds=200, patience=20, seed=1)
-        model = train(ds, ds, cfg, get_measure("mmce"))
+        model = fit(ds, cfg, "mmce")
         assert min(model.valid_history) == 0.0
         assert model.best_iteration <= cfg.max_rounds
 
@@ -235,7 +254,7 @@ class TestTraining:
             "regression",
         )
         cfg = GBTConfig(max_rounds=5, patience=2, seed=1)
-        model = train(ds, ds, cfg, get_measure("rmse"))
+        model = fit(ds, cfg, "rmse")
         assert model.valid_history[0] == 0.0
         assert model.best_iteration == 1
         preds = predict(model, ds.feature_matrix())
@@ -244,7 +263,7 @@ class TestTraining:
     def test_best_iteration_is_earliest_minimum(self):
         ds = numeric_binary_dataset(80, seed=9)
         cfg = GBTConfig(eta=0.1, max_depth=2, max_rounds=60, patience=8, seed=2)
-        model = train(ds, ds, cfg, get_measure("mmce"))
+        model = fit(ds, cfg, "mmce")
         history = np.asarray(model.valid_history)
         assert model.best_iteration == int(np.argmin(history)) + 1
         # mmce histories plateau, so the tie rule is actually exercised
@@ -253,7 +272,7 @@ class TestTraining:
     def test_prefix_prediction_oracle(self):
         ds = numeric_binary_dataset(60, seed=4)
         cfg = GBTConfig(eta=0.2, max_depth=2, max_rounds=20, patience=20, seed=3)
-        model = train(ds, ds, cfg, get_measure("mmce"))
+        model = fit(ds, cfg, "mmce")
         X = ds.feature_matrix()
         from autoboost.gbt import _sigmoid, _tree_outputs
 
@@ -267,20 +286,21 @@ class TestTraining:
     def test_predict_upto_zero_returns_base_score(self):
         ds = numeric_binary_dataset(60, seed=4)
         cfg = GBTConfig(max_rounds=5, patience=5, seed=3)
-        model = train(ds, ds, cfg, get_measure("mmce"))
+        model = fit(ds, cfg, "mmce")
         probs = predict(model, ds.feature_matrix(), upto=0)
         assert np.unique(probs[:, 1]).size == 1
 
     def test_missing_value_follows_stored_default_direction(self):
         for default_left in (True, False):
-            node = TreeNode(
-                feature=0, threshold=0.5, default_left=default_left,
-                left=TreeNode(weight=-1.0), right=TreeNode(weight=1.0),
+            tree = Tree.from_lists(
+                feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+                default_left=[default_left, True, True], left=[1, -1, -1],
+                right=[2, -1, -1], value=[0.0, -1.0, 1.0],
             )
             model = BoostedModel(
-                task="regression", classes=None, base_score=np.asarray(0.0),
-                rounds=((node,),), best_iteration=1, valid_history=(0.0,),
-                n_features=1, feature_names=("x",),
+                task="regression", base_score=np.asarray(0.0),
+                rounds=((tree,),), best_iteration=1, valid_history=(0.0,),
+                n_features=1,
             )
             out = predict(model, np.asarray([[np.nan]]))
             assert out[0] == (-1.0 if default_left else 1.0)
@@ -288,7 +308,7 @@ class TestTraining:
     def test_monotone_feature_transform_preserves_predictions(self):
         ds = numeric_binary_dataset(90, seed=12)
         cfg = GBTConfig(eta=0.2, max_depth=3, max_rounds=15, patience=15, seed=5)
-        model_a = train(ds, ds, cfg, get_measure("mmce"))
+        model_a = fit(ds, cfg, "mmce")
         cubed = Dataset(
             tuple(
                 Column(c.name, c.kind, c.values**3 if c.name == "x1" else c.values)
@@ -297,7 +317,7 @@ class TestTraining:
             ds.target,
             ds.task,
         )
-        model_b = train(cubed, cubed, cfg, get_measure("mmce"))
+        model_b = fit(cubed, cfg, "mmce")
         np.testing.assert_array_equal(
             predict(model_a, ds.feature_matrix()), predict(model_b, cubed.feature_matrix())
         )
@@ -308,8 +328,8 @@ class TestTraining:
             eta=0.15, max_depth=4, subsample=0.7, colsample_bytree=0.8,
             colsample_bylevel=0.8, max_rounds=25, patience=25, seed=11,
         )
-        a = train(ds, ds, cfg, get_measure("mmce"))
-        b = train(ds, ds, cfg, get_measure("mmce"))
+        a = fit(ds, cfg, "mmce")
+        b = fit(ds, cfg, "mmce")
         np.testing.assert_array_equal(
             predict(a, ds.feature_matrix()), predict(b, ds.feature_matrix())
         )
@@ -320,7 +340,7 @@ class TestTraining:
         values = []
         for max_rounds in (3, 8, 20, 50):
             cfg = GBTConfig(eta=0.1, max_depth=2, max_rounds=max_rounds, patience=max_rounds, seed=6)
-            model = train(ds, ds, cfg, get_measure("mmce"))
+            model = fit(ds, cfg, "mmce")
             values.append(min(model.valid_history))
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -333,7 +353,7 @@ class TestTraining:
             (Column("x", "numeric", x), Column("y", "categorical", y)), "y", "multiclass"
         )
         cfg = GBTConfig(eta=0.3, max_depth=2, max_rounds=30, patience=10, seed=7)
-        model = train(ds, ds, cfg, get_measure("mmce"))
+        model = fit(ds, cfg, "mmce")
         probs = predict(model, ds.feature_matrix())
         assert probs.shape == (n, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -342,11 +362,17 @@ class TestTraining:
     def test_error_cases(self):
         ds = binary_margin_dataset(40, seed=1)
         cfg = GBTConfig(max_rounds=2, seed=1)
-        empty = ds.subset(np.asarray([], dtype=int))
+        X, y = arrays(numeric_binary_dataset(40, seed=1))
+        with pytest.raises(DataError, match="empty dataset"):
+            train(X[:0], y[:0], X, y, "binary", 2, cfg, get_measure("mmce"))
         with pytest.raises(DataError, match="zero rows"):
-            train(ds, empty, cfg, get_measure("mmce"))
+            train(X, y, X[:0], y[:0], "binary", 2, cfg, get_measure("mmce"))
+        with pytest.raises(DataError, match="no feature columns"):
+            train(X[:, :0], y, X[:, :0], y, "binary", 2, cfg, get_measure("mmce"))
+        with pytest.raises(DataError, match="feature columns"):
+            train(X, y, X[:, :1], y, "binary", 2, cfg, get_measure("mmce"))
         with pytest.raises(DataError, match="categorical"):
-            train(ds, ds, cfg, get_measure("mmce")).n_features  # categorical features present
+            arrays(ds)  # categorical features present
 
     def test_predict_feature_count_mismatch(self):
         ds = binary_margin_dataset(40, seed=1)
@@ -356,6 +382,6 @@ class TestTraining:
             "binary",
         )
         cfg = GBTConfig(max_rounds=2, seed=1)
-        model = train(numeric, numeric, cfg, get_measure("mmce"))
+        model = fit(numeric, cfg, "mmce")
         with pytest.raises(DataError, match="feature count"):
             predict(model, np.zeros((3, 5)))

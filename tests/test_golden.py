@@ -1,0 +1,104 @@
+"""Golden determinism check: fixed fits must reproduce pinned digests.
+
+Each case fits a small pipeline with a fixed seed and a budget above the
+16-point initial design, so at least one GP-guided proposal is evaluated,
+then predicts on a second sample with NaNs and unseen categorical levels.
+The SHA-256 digests below pin the predicted probability bytes, the labels,
+the tuning history values and the early-stopping record of the incumbent.
+A refactor that keeps the booster's arithmetic must reproduce them exactly;
+any change in split choice, RNG draws, leaf weights or tuning order shows up
+as a different digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from autoboost.data import Column, Dataset
+from autoboost.pipeline import AutoConfig, autogbt_fit, autogbt_predict
+
+CFG = AutoConfig(budget=17, deadline=600.0, max_rounds=8, patience=4, seed=5)
+
+# A categorical column with more levels than the default cardinality
+# threshold k = 10, so it goes through impact encoding.
+LEVELS = [f"lv{i:02d}" for i in range(14)]
+
+
+def mixed_dataset(n, seed, classes):
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=n)
+    x2 = rng.normal(size=n)
+    x2[rng.uniform(size=n) < 0.15] = np.nan
+    cat = rng.choice(LEVELS, size=n).astype(object)
+    cat[rng.uniform(size=n) < 0.1] = "__NA__"
+    level_effect = np.asarray([int(c[2:]) if c != "__NA__" else 7 for c in cat]) / 7.0 - 1.0
+    signal = x1 + 0.5 * np.nan_to_num(x2) + level_effect + rng.normal(scale=0.3, size=n)
+    edges = np.quantile(signal, np.linspace(0, 1, len(classes) + 1)[1:-1])
+    y = np.asarray(classes, dtype=object)[np.searchsorted(edges, signal)]
+    task = "binary" if len(classes) == 2 else "multiclass"
+    return Dataset(
+        (
+            Column("x1", "numeric", x1),
+            Column("x2", "numeric", x2),
+            Column("cat", "categorical", cat),
+            Column("y", "categorical", y),
+        ),
+        "y",
+        task,
+    )
+
+
+def features_only(ds, unseen_seed):
+    """Drop the target and swap some categorical cells for an unseen level."""
+    rng = np.random.default_rng(unseen_seed)
+    cols = []
+    for c in ds.feature_columns:
+        values = c.values.copy()
+        if c.kind == "categorical":
+            values[rng.uniform(size=len(values)) < 0.1] = "never-seen"
+        cols.append(Column(c.name, c.kind, values))
+    return Dataset(tuple(cols), None, None)
+
+
+def sha(text_or_bytes):
+    data = text_or_bytes if isinstance(text_or_bytes, bytes) else text_or_bytes.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(classes):
+    train = mixed_dataset(160, seed=41, classes=classes)
+    score = features_only(mixed_dataset(120, seed=42, classes=classes), unseen_seed=43)
+    model = autogbt_fit(train, CFG)
+    preds = autogbt_predict(model, score)
+    return {
+        "probabilities": sha(np.ascontiguousarray(preds.probabilities, dtype="<f8").tobytes()),
+        "labels": sha("\n".join(preds.labels)),
+        "history": sha(",".join(repr(e["value"]) for e in model.history["evaluations"])),
+        "early_stopping": sha(
+            repr(model.model.best_iteration) + ":" + ",".join(map(repr, model.model.valid_history))
+        ),
+    }
+
+
+GOLDEN = {
+    "binary": {
+        "probabilities": "25cfad99658283444e1c5c299c51f3a530de47d1d5a9e0f39a8f3a594c0e6bc9",
+        "labels": "9360506de6412a56a6c942cb6671d712556551004505e921b05c52de3d543d69",
+        "history": "700eaee393072d4df91323bdbcfbd18f33d1d3392c4baabe05463b90342f54be",
+        "early_stopping": "79cf7e416fc58454618098ef0b9c870370c84890b1dc1c9c6d59f715b90a94c2",
+    },
+    "multiclass": {
+        "probabilities": "485484f87b20f8b2e6270dff087f25dcb3030cb152ebf0bb5fda4a01be559d40",
+        "labels": "49c2027882c22325a73459f40d8fc6942f5f3179b40ba329d5162a505a2c29e8",
+        "history": "bf67aadf1979317453760d4dbb8e101b45a5d30c3319d83cd20aa31c582cd635",
+        "early_stopping": "67bb00065a86d62c2bf8266452a49a0446c705cbf0bd344c7c976c393a309199",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case,classes", [("binary", ["neg", "pos"]), ("multiclass", ["a", "b", "c"])]
+)
+def test_golden_digests(case, classes):
+    assert digests(classes) == GOLDEN[case]

@@ -165,7 +165,7 @@ class TestInternalConsistency:
         encoded = transform(model.encoders, split.valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
         labels = apply_thresholds(probs, model.thresholds)
-        value = mmce(labels, split.valid.class_indices())
+        value = mmce(labels, split.valid.class_indices(model.classes))
         assert value == model.fit_report["objective_value"]
 
     def test_thresholded_no_worse_than_argmax(self, fitted_binary):
@@ -173,7 +173,7 @@ class TestInternalConsistency:
         split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
         encoded = transform(model.encoders, split.valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
-        argmax_value = mmce(np.argmax(probs, axis=1), split.valid.class_indices())
+        argmax_value = mmce(np.argmax(probs, axis=1), split.valid.class_indices(model.classes))
         assert model.fit_report["objective_value"] <= argmax_value
 
     def test_incumbent_value_is_minimum_of_history(self, fitted_binary):
@@ -182,6 +182,41 @@ class TestInternalConsistency:
         idx = model.history["incumbent_index"]
         assert values[idx] == min(values)
         assert model.fit_report["objective_value"] == values[idx]
+
+
+def rare_class_dataset():
+    """100 rows: classes a x2, b x49, c x49, separated by one numeric feature.
+
+    A stratified 20-row holdout takes no row of the rare class ``a``.
+    """
+    rng = np.random.default_rng(0)
+    labels = np.asarray(["a"] * 2 + ["b"] * 49 + ["c"] * 49, dtype=object)
+    x = np.where(labels == "b", -1.0, 1.0) + rng.normal(scale=0.3, size=100)
+    x[:2] = rng.normal(scale=0.05, size=2)
+    return Dataset(
+        (Column("x", "numeric", x), Column("y", "categorical", labels)), "y", "multiclass"
+    )
+
+
+class TestHoldoutLabels:
+    def test_class_missing_from_holdout_keeps_label_indices(self):
+        train = rare_class_dataset()
+        cfg = AutoConfig(seed=1, budget=4, deadline=60.0, max_rounds=20, patience=4)
+        model = autogbt_fit(train, cfg)
+        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+        assert "a" not in set(split.valid.target_values())
+        encoded = transform(model.encoders, split.valid)
+        probs = gbt_predict(model.model, encoded.feature_matrix())
+        truth = np.asarray([model.classes.index(v) for v in split.valid.target_values()])
+        value = mmce(apply_thresholds(probs, model.thresholds), truth)
+        assert value == model.fit_report["objective_value"]
+        assert value <= mmce(np.argmax(probs, axis=1), truth)
+
+    def test_holdout_label_unknown_to_training_errors(self):
+        # An 80% holdout takes both rows of the rare class.
+        cfg = AutoConfig(seed=1, budget=4, deadline=60.0, max_rounds=5, valid_fraction=0.8)
+        with pytest.raises(DataError, match="'a' not present in training data"):
+            autogbt_fit(rare_class_dataset(), cfg)
 
 
 class TestBundle:

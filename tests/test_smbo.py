@@ -295,7 +295,7 @@ class TestProposeAndTune:
 
     def test_history_csv_layout(self):
         state = tune(sphere, budget=5, n_init=5, seed=1)
-        text = history_csv(state)
+        text = history_csv([vars(rec) for rec in state.evaluated])
         lines = text.strip().split("\n")
         assert lines[0] == "iteration," + ",".join(SPACE.names) + ",objective,seconds"
         assert len(lines) == 6
