@@ -126,7 +126,7 @@ def _test_value(measure_name: str, model, test: Dataset) -> float:
         return rmse(preds.values, np.asarray(test.target_values(), dtype=np.float64))
     if measure_name == "mmce":
         return mmce(np.asarray(preds.labels, dtype=object), test.target_values().astype(object))
-    return logloss(preds.probabilities, test.target_values(), labels=list(preds.classes))
+    return logloss(preds.probabilities, test.class_indices(preds.classes))
 
 
 def run_benchmark(

@@ -255,12 +255,13 @@ def load_csv(
 
 
 def _build_feature_column(name: str, cells: list[str], na_set: set[str]) -> Column:
-    present = [c for c in cells if c not in na_set]
-    numeric = len(present) == len([c for c in present if _parse_number(c) is not None])
-    if numeric:
-        values = np.asarray(
-            [np.nan if c in na_set else float(c) for c in cells], dtype=np.float64
-        )
+    missing = [c in na_set for c in cells]
+    try:
+        values = np.asarray([np.nan if m else float(c) for c, m in zip(cells, missing)])
+    except ValueError:
+        values = None
+    # Numeric when every present cell is a finite number.
+    if values is not None and np.all(np.isfinite(values) | np.asarray(missing)):
         return Column(name, "numeric", values)
     values = np.asarray([NA_LEVEL if c in na_set else c for c in cells], dtype=object)
     return Column(name, "categorical", values)

@@ -21,47 +21,41 @@ STRATEGIES = ("integer", "impact")
 
 @dataclass(frozen=True)
 class ColumnEncoder:
-    """Fitted transform for a single source column.
+    """Fitted transform for a single source column, as a level table.
 
-    ``mapping`` carries one float vector per training level: length 1 for
-    integer and regression-impact encodings, K for K-class impact, L for
-    dummy (a unit indicator). ``fallback`` is the vector used for levels
-    never seen at fit time.
+    Row i of ``table`` encodes ``levels[i]`` and the last row encodes every
+    level not seen at fit time; there is one table column per output name.
+    Integer rows hold the 1-based level index (0 when unseen), dummy rows a
+    unit indicator (all zeros when unseen), impact rows the smoothed class
+    frequencies or group mean (the prior when unseen). Passthrough encoders
+    have no levels and an empty table.
     """
 
     name: str
     strategy: str  # "passthrough" | "integer" | "dummy" | "impact"
     levels: tuple[str, ...]
-    mapping: dict[str, tuple[float, ...]]
-    fallback: tuple[float, ...]
+    table: np.ndarray
     output_names: tuple[str, ...]
 
     def encode_values(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty((len(values), len(self.output_names)), dtype=np.float64)
-        fallback = np.asarray(self.fallback)
-        for i, level in enumerate(values):
-            vec = self.mapping.get(level)
-            out[i] = fallback if vec is None else vec
-        return out
+        row_of = {level: i for i, level in enumerate(self.levels)}
+        unseen = len(self.levels)
+        return self.table[[row_of.get(v, unseen) for v in values]]
 
 
 @dataclass(frozen=True)
 class EncoderModel:
-    """All fitted per-column transforms plus the dispatch configuration."""
+    """All fitted per-column transforms, in feature column order."""
 
     encoders: tuple[ColumnEncoder, ...]
-    feature_schema: tuple[tuple[str, str], ...]
-    k: int
-    high_card_strategy: str
-    m: float
-    classes: tuple[str, ...] | None  # impact target classes, None for regression
 
     @property
-    def output_feature_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for enc in self.encoders:
-            names.extend(enc.output_names)
-        return tuple(names)
+    def feature_schema(self) -> tuple[tuple[str, str], ...]:
+        """(name, kind) of every fit-time feature: passthrough columns are numeric."""
+        return tuple(
+            (ce.name, "numeric" if ce.strategy == "passthrough" else "categorical")
+            for ce in self.encoders
+        )
 
 
 def fit_encoders(
@@ -101,36 +95,24 @@ def fit_encoders(
             encoders.append(_fit_integer(col))
         else:
             encoders.append(_fit_impact(col, train, classes, m))
-    return EncoderModel(
-        encoders=tuple(encoders),
-        feature_schema=train.feature_schema,
-        k=k,
-        high_card_strategy=high_card_strategy,
-        m=m,
-        classes=classes,
-    )
+    return EncoderModel(tuple(encoders))
 
 
 def _passthrough(col: Column) -> ColumnEncoder:
-    return ColumnEncoder(col.name, "passthrough", (), {}, (), (col.name,))
+    return ColumnEncoder(col.name, "passthrough", (), np.empty((0, 1)), (col.name,))
 
 
 def _fit_integer(col: Column) -> ColumnEncoder:
     levels = col.levels
-    mapping = {level: (float(i + 1),) for i, level in enumerate(levels)}
-    return ColumnEncoder(col.name, "integer", levels, mapping, (0.0,), (col.name,))
+    table = np.append(np.arange(1.0, len(levels) + 1), 0.0)[:, None]
+    return ColumnEncoder(col.name, "integer", levels, table, (col.name,))
 
 
 def _fit_dummy(col: Column) -> ColumnEncoder:
     levels = col.levels
-    size = len(levels)
-    mapping = {}
-    for i, level in enumerate(levels):
-        vec = [0.0] * size
-        vec[i] = 1.0
-        mapping[level] = tuple(vec)
+    table = np.vstack([np.eye(len(levels)), np.zeros(len(levels))])
     names = tuple(f"{col.name}={level}" for level in levels)
-    return ColumnEncoder(col.name, "dummy", levels, mapping, (0.0,) * size, names)
+    return ColumnEncoder(col.name, "dummy", levels, table, names)
 
 
 def _fit_impact(
@@ -142,23 +124,24 @@ def _fit_impact(
         y = train.target_values()
         n = len(y)
         prior = np.asarray([np.sum(y == c) / n for c in classes], dtype=np.float64)
-        mapping = {}
+        rows = []
         for level in levels:
             member = values == level
             n_a = int(np.sum(member))
             counts = np.asarray([np.sum(y[member] == c) for c in classes], dtype=np.float64)
-            mapping[level] = tuple((counts + m * prior) / (n_a + m))
+            rows.append((counts + m * prior) / (n_a + m))
         names = tuple(f"{col.name}~{c}" for c in classes)
-        return ColumnEncoder(col.name, "impact", levels, mapping, tuple(prior), names)
+        return ColumnEncoder(col.name, "impact", levels, np.vstack([*rows, prior]), names)
 
     y = np.asarray(train.target_values(), dtype=np.float64)
     ybar = float(np.mean(y))
-    mapping = {}
+    rows = []
     for level in levels:
         member = values == level
         n_a = int(np.sum(member))
-        mapping[level] = (float((np.sum(y[member]) + m * ybar) / (n_a + m)),)
-    return ColumnEncoder(col.name, "impact", levels, mapping, (ybar,), (col.name,))
+        rows.append((np.sum(y[member]) + m * ybar) / (n_a + m))
+    table = np.asarray([*rows, ybar], dtype=np.float64)[:, None]
+    return ColumnEncoder(col.name, "impact", levels, table, (col.name,))
 
 
 def transform(enc: EncoderModel, d: Dataset) -> Dataset:
@@ -166,7 +149,7 @@ def transform(enc: EncoderModel, d: Dataset) -> Dataset:
 
     Requires every fit-time feature to be present with the same kind; extra
     columns are ignored. The target column, when present, passes through
-    untouched. Unseen levels map to each encoder's fallback.
+    untouched. Unseen levels map to the last row of each encoder's table.
     """
     available = {c.name: c for c in d.columns}
     for name, kind in enc.feature_schema:

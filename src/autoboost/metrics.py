@@ -52,12 +52,12 @@ def mmce(predicted, truth) -> float:
     return float(np.mean(predicted != truth))
 
 
-def logloss(prob, truth, labels=None) -> float:
+def logloss(prob, truth) -> float:
     """Mean negative log probability of the true class.
 
-    ``prob`` is an (n, K) row-stochastic matrix. ``truth`` holds integer
-    column indices, or labels resolved through ``labels``. Probabilities are
-    clipped to [1e-15, 1 - 1e-15] before the log.
+    ``prob`` is an (n, K) row-stochastic matrix and ``truth`` holds integer
+    column indices. Probabilities are clipped to [1e-15, 1 - 1e-15] before
+    the log.
     """
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2 or prob.shape[0] == 0:
@@ -66,16 +66,9 @@ def logloss(prob, truth, labels=None) -> float:
     if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         raise ValueError("probability rows must sum to 1 within 1e-8")
     n, k = prob.shape
-    if labels is not None:
-        lookup = {label: i for i, label in enumerate(labels)}
-        try:
-            idx = np.asarray([lookup[t] for t in truth], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc.args[0]!r}") from None
-    else:
-        idx = np.asarray(truth, dtype=np.intp)
-        if np.any(idx < 0) or np.any(idx >= k):
-            raise ValueError("truth indices out of range for probability columns")
+    idx = np.asarray(truth, dtype=np.intp)
+    if np.any(idx < 0) or np.any(idx >= k):
+        raise ValueError("truth indices out of range for probability columns")
     if len(idx) != n:
         raise ValueError(f"need {n} truth entries, got {len(idx)}")
     p_true = np.clip(prob[np.arange(n), idx], PROB_CLIP, 1.0 - PROB_CLIP)

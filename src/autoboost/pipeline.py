@@ -5,7 +5,8 @@ incumbent's early-stopped boosted model, optimized thresholds, and the full
 tuning history. The model of the best completed evaluation is kept as-is
 (no refit on merged data, which would invalidate the early-stopped round
 count). Bundles are versioned, checksummed JSON documents whose numbers
-round-trip exactly; each tree is stored as its node arrays.
+round-trip exactly; each tree is stored as its node arrays and each
+encoder as its level table.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .smbo import decode_config, simple_space, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
 FORMAT_NAME = "autoboost-pipeline"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class BundleError(ValueError):
@@ -213,8 +214,9 @@ def _default_thresholds(task: str, n_classes: int) -> ThresholdVector:
 def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
     """Predict on new data through the stored encoders, model, thresholds.
 
-    The feature schema must match fit time; unseen categorical levels go to
-    each encoder's fallback, extra columns (including a target) are ignored.
+    The feature schema must match fit time; unseen categorical levels take
+    the last row of their encoder's table, and extra columns (including a
+    target) are ignored.
     """
     encoded = transform(p.encoders, newdata)
     x = encoded.feature_matrix()
@@ -260,46 +262,30 @@ def _model_from_dict(d: dict) -> gbt.BoostedModel:
     )
 
 
-def _encoders_to_dict(enc: EncoderModel) -> dict:
-    return {
-        "k": enc.k,
-        "high_card_strategy": enc.high_card_strategy,
-        "m": enc.m,
-        "classes": list(enc.classes) if enc.classes is not None else None,
-        "feature_schema": [[n, k] for n, k in enc.feature_schema],
-        "columns": [
-            {
-                "name": ce.name,
-                "strategy": ce.strategy,
-                "levels": list(ce.levels),
-                "mapping": {level: list(vec) for level, vec in ce.mapping.items()},
-                "fallback": list(ce.fallback),
-                "output_names": list(ce.output_names),
-            }
-            for ce in enc.encoders
-        ],
-    }
+def _encoders_to_list(enc: EncoderModel) -> list:
+    return [
+        {
+            "name": ce.name,
+            "strategy": ce.strategy,
+            "levels": list(ce.levels),
+            "table": ce.table.tolist(),
+            "output_names": list(ce.output_names),
+        }
+        for ce in enc.encoders
+    ]
 
 
-def _encoders_from_dict(d: dict) -> EncoderModel:
-    return EncoderModel(
-        encoders=tuple(
-            ColumnEncoder(
-                name=c["name"],
-                strategy=c["strategy"],
-                levels=tuple(c["levels"]),
-                mapping={level: tuple(vec) for level, vec in c["mapping"].items()},
-                fallback=tuple(c["fallback"]),
-                output_names=tuple(c["output_names"]),
-            )
-            for c in d["columns"]
-        ),
-        feature_schema=tuple((n, k) for n, k in d["feature_schema"]),
-        k=int(d["k"]),
-        high_card_strategy=d["high_card_strategy"],
-        m=float(d["m"]),
-        classes=tuple(d["classes"]) if d["classes"] is not None else None,
-    )
+def _encoders_from_list(records: list) -> EncoderModel:
+    return EncoderModel(tuple(
+        ColumnEncoder(
+            name=c["name"],
+            strategy=c["strategy"],
+            levels=tuple(c["levels"]),
+            table=np.asarray(c["table"], dtype=np.float64).reshape(-1, len(c["output_names"])),
+            output_names=tuple(c["output_names"]),
+        )
+        for c in records
+    ))
 
 
 def _to_payload(p: PipelineModel) -> dict:
@@ -307,7 +293,7 @@ def _to_payload(p: PipelineModel) -> dict:
         "task": p.task,
         "classes": list(p.classes) if p.classes is not None else None,
         "measure": p.measure,
-        "encoders": _encoders_to_dict(p.encoders),
+        "encoders": _encoders_to_list(p.encoders),
         "model": _model_to_dict(p.model),
         "thresholds": p.thresholds.t.tolist() if p.thresholds is not None else None,
         "gbt_config": dataclasses.asdict(p.gbt_config),
@@ -320,7 +306,7 @@ def _to_payload(p: PipelineModel) -> dict:
 def _from_payload(payload: dict) -> PipelineModel:
     thresholds = payload["thresholds"]
     return PipelineModel(
-        encoders=_encoders_from_dict(payload["encoders"]),
+        encoders=_encoders_from_list(payload["encoders"]),
         model=_model_from_dict(payload["model"]),
         thresholds=ThresholdVector(np.asarray(thresholds)) if thresholds is not None else None,
         task=payload["task"],

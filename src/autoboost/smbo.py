@@ -337,29 +337,32 @@ def propose_point(state: TuneState) -> np.ndarray:
     mu, sd = gp.posterior(cand)
     ei = ei_value(mu, sd, best)
     top = np.argsort(-ei)[:_N_REFINE]
-    best_pt = cand[top[0]]
-    best_ei = float(ei[top[0]])
-    for idx in top:
-        pt, v = _coordinate_refine(gp, cand[idx], float(ei[idx]), best)
-        if v > best_ei:
-            best_ei, best_pt = v, pt
-    return _dedup(best_pt, points, rng)
+    refined, refined_ei = _refine(gp, cand[top], ei[top], best)
+    # The first start in EI-rank order among those with the highest refined EI.
+    return _dedup(refined[int(np.argmax(refined_ei))], points, rng)
 
 
-def _coordinate_refine(gp: GPSurrogate, pt: np.ndarray, ei0: float, best: float):
-    cur = pt.copy()
-    cur_ei = ei0
+def _refine(gp: GPSurrogate, starts: np.ndarray, start_ei: np.ndarray, best: float):
+    """Coordinate-wise EI ascent from all starts at once.
+
+    Each (step, coordinate) sweep scores four moves per start in one posterior
+    call; a start moves only to its best trial, and only if that is strictly
+    better.
+    """
+    cur, cur_ei = starts.copy(), start_ei.copy()
+    n, d = cur.shape
+    rows = np.arange(n)
     for step in _REFINE_STEPS:
-        for j in range(len(cur)):
-            offsets = (-step, -step / 3.0, step / 3.0, step)
-            trials = np.tile(cur, (len(offsets), 1))
-            trials[:, j] = np.clip(cur[j] + np.asarray(offsets), 0.0, 1.0)
-            mu, sd = gp.posterior(trials)
-            e = ei_value(mu, sd, best)
-            i = int(np.argmax(e))
-            if e[i] > cur_ei:
-                cur_ei = float(e[i])
-                cur = trials[i]
+        offsets = np.asarray((-step, -step / 3.0, step / 3.0, step))
+        for j in range(d):
+            trials = np.repeat(cur[:, None, :], len(offsets), axis=1)
+            trials[:, :, j] = np.clip(cur[:, j, None] + offsets, 0.0, 1.0)
+            mu, sd = gp.posterior(trials.reshape(-1, d))
+            e = ei_value(mu, sd, best).reshape(n, len(offsets))
+            i = np.argmax(e, axis=1)
+            moved = e[rows, i] > cur_ei
+            cur[moved] = trials[rows[moved], i[moved]]
+            cur_ei[moved] = e[rows[moved], i[moved]]
     return cur, cur_ei
 
 

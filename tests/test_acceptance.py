@@ -139,8 +139,8 @@ def test_criterion_3_impact_encoding_matches_group_by_oracle():
                 ybar = yv.mean()
                 for level in ce.levels:
                     member = cat == level
-                    assert abs(ce.mapping[level][0] - yv[member].mean()) <= 1e-12
-                assert abs(ce.fallback[0] - ybar) <= 1e-12
+                    assert abs(ce.table[ce.levels.index(level)][0] - yv[member].mean()) <= 1e-12
+                assert abs(ce.table[-1][0] - ybar) <= 1e-12
             else:
                 classes = ds.classes
                 n_total = len(yv)
@@ -148,9 +148,9 @@ def test_criterion_3_impact_encoding_matches_group_by_oracle():
                     member = cat == level
                     for ci, c in enumerate(classes):
                         want = np.sum(yv[member] == c) / np.sum(member)
-                        assert abs(ce.mapping[level][ci] - want) <= 1e-12
+                        assert abs(ce.table[ce.levels.index(level)][ci] - want) <= 1e-12
                 for ci, c in enumerate(classes):
-                    assert abs(ce.fallback[ci] - np.sum(yv == c) / n_total) <= 1e-12
+                    assert abs(ce.table[-1][ci] - np.sum(yv == c) / n_total) <= 1e-12
 
         # dummy indicators partition each row
         cat = rng.choice(["a", "b", "c", "__NA__"], size=30).astype(object)
@@ -331,7 +331,7 @@ def test_criterion_10_bundle_roundtrip_and_tamper_detection(tmp_path):
         (tmp_path / "tampered.bundle").write_text(json.dumps(doc))
         with pytest.raises(BundleError):
             load(tmp_path / "tampered.bundle")
-        for version in (FORMAT_VERSION + 1, 1):
+        for version in (FORMAT_VERSION + 1, 1, 2):
             doc = json.loads(text)
             doc["version"] = version
             (tmp_path / "foreign.bundle").write_text(json.dumps(doc))

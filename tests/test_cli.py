@@ -141,6 +141,28 @@ class TestRunBenchmark:
             assert "n_init must be >= 2" in d.error
             assert d.run_values == []
 
+    def test_logloss_label_unknown_to_training_recorded_and_rest_continue(self, csv_pair):
+        base, train, test = csv_pair
+        with open(test, newline="") as fh:
+            rows = list(csv.reader(fh))
+        label = rows[0].index("label")
+        for row in rows[1:]:
+            if row[label] == "yes":
+                row[label] = "maybe"
+        relabelled = base / "test-maybe.csv"
+        with open(relabelled, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        tasks = [
+            BenchmarkTask("unknown-label", train, relabelled, "label", "logloss"),
+            BenchmarkTask("toy", train, test, "label", "logloss"),
+        ]
+        report = run_benchmark(tasks, FAST_CFG, repetitions=1, B=100, size=1, seed=1)
+        unknown, toy = report.datasets
+        assert "label 'maybe' not present in training data" in unknown.error
+        assert unknown.run_values == []
+        assert toy.error is None
+        assert len(toy.run_values) == 1 and np.isfinite(toy.run_values[0])
+
     def test_report_formats(self, csv_pair):
         base, train, test = csv_pair
         tasks = [BenchmarkTask("toy", train, test, "label", "mmce")]

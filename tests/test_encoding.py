@@ -84,15 +84,15 @@ class TestImpactValues:
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
         ce = enc.encoders[0]
         # classes are sorted ("0", "1"); index 1 is P(y=1 | level)
-        assert ce.mapping["a"][1] == pytest.approx(0.5, abs=1e-15)
-        assert ce.mapping["b"][1] == pytest.approx(1.0, abs=1e-15)
+        assert ce.table[ce.levels.index("a")][1] == pytest.approx(0.5, abs=1e-15)
+        assert ce.table[ce.levels.index("b")][1] == pytest.approx(1.0, abs=1e-15)
 
     def test_regression_group_means_by_hand(self):
         ds = make_ds(["a", "a", "b"], [2.0, 4.0, 6.0], "regression")
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
         ce = enc.encoders[0]
-        assert ce.mapping["a"][0] == pytest.approx(3.0, abs=1e-15)
-        assert ce.mapping["b"][0] == pytest.approx(6.0, abs=1e-15)
+        assert ce.table[ce.levels.index("a")][0] == pytest.approx(3.0, abs=1e-15)
+        assert ce.table[ce.levels.index("b")][0] == pytest.approx(6.0, abs=1e-15)
 
     def test_matches_group_by_oracle_on_random_data(self):
         for seed in range(50):
@@ -109,8 +109,8 @@ class TestImpactValues:
                 oracle, prior = group_by_oracle_classification(cat, y, list(ds.classes), 0.0)
                 ce = enc.encoders[0]
                 for level, vec in oracle.items():
-                    assert np.max(np.abs(np.asarray(ce.mapping[level]) - vec)) <= 1e-12
-                assert np.max(np.abs(np.asarray(ce.fallback) - prior)) <= 1e-12
+                    assert np.max(np.abs(ce.table[ce.levels.index(level)] - vec)) <= 1e-12
+                assert np.max(np.abs(ce.table[-1] - prior)) <= 1e-12
             else:
                 y = rng.normal(size=n).tolist()
                 ds = make_ds(cat, y, "regression")
@@ -118,8 +118,8 @@ class TestImpactValues:
                 oracle, ybar = group_by_oracle_regression(cat, y, 0.0)
                 ce = enc.encoders[0]
                 for level, value in oracle.items():
-                    assert abs(ce.mapping[level][0] - value) <= 1e-12
-                assert abs(ce.fallback[0] - ybar) <= 1e-12
+                    assert abs(ce.table[ce.levels.index(level)][0] - value) <= 1e-12
+                assert abs(ce.table[-1][0] - ybar) <= 1e-12
 
     def test_multiclass_emits_one_column_per_class(self):
         cat = ["a", "a", "b", "b", "b", "c"]
@@ -130,7 +130,7 @@ class TestImpactValues:
         assert ce.output_names == ("f~r", "f~s", "f~t")
         oracle, prior = group_by_oracle_classification(cat, y, ["r", "s", "t"], 0.0)
         for level, vec in oracle.items():
-            assert np.max(np.abs(np.asarray(ce.mapping[level]) - vec)) <= 1e-12
+            assert np.max(np.abs(ce.table[ce.levels.index(level)] - vec)) <= 1e-12
         out = transform(enc, ds)
         block = np.column_stack([c.values for c in out.feature_columns])
         np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-12)
@@ -139,7 +139,7 @@ class TestImpactValues:
         for m in (0.0, 1.0, 5.0):
             ds = make_ds(["a", "a", "b", "c", "c", "c"], ["0", "1", "1", "0", "1", "0"], "binary")
             enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=m)
-            for vec in enc.encoders[0].mapping.values():
+            for vec in enc.encoders[0].table[:-1]:
                 assert sum(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothing_pulls_strictly_toward_prior(self):
@@ -147,7 +147,8 @@ class TestImpactValues:
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=2.0)
         ybar = 4.0
         # group b has mean 6; smoothed value must lie strictly between
-        smoothed = enc.encoders[0].mapping["b"][0]
+        ce = enc.encoders[0]
+        smoothed = ce.table[ce.levels.index("b")][0]
         assert ybar < smoothed < 6.0
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from autoboost.data import Column, Dataset
 from autoboost.pipeline import AutoConfig, autogbt_fit, autogbt_predict
+from autoboost.smbo import tune
 
 CFG = AutoConfig(budget=17, deadline=600.0, max_rounds=8, patience=4, seed=5)
 
@@ -102,3 +103,25 @@ GOLDEN = {
 )
 def test_golden_digests(case, classes):
     assert digests(classes) == GOLDEN[case]
+
+
+# The tuner alone: 16 design points, then 8 GP-guided proposals on the
+# sphere. The digest covers the point bytes of all 24 evaluations in order,
+# so any change to the GP fit, the EI candidates or their refinement shows.
+TUNER_GOLDEN = {
+    1: "7b0dfd26b00a3924d9ea02c0fc1158191e94283896dc5dfbbd16ac2ce2d543aa",
+    2: "94567a17fc00cf38a78c3febaa81a2460a3fa863793920791cb6ec92ec59c098",
+    3: "caccd8893779c87a561fa160afed03c2a505a848a7ab6d9d49090686b941aeda",
+}
+
+
+def sphere(u):
+    return float(np.sum((np.asarray(u) - 0.5) ** 2))
+
+
+@pytest.mark.parametrize("seed", sorted(TUNER_GOLDEN))
+def test_golden_tuner_proposals(seed):
+    state = tune(sphere, budget=24, n_init=16, seed=seed)
+    assert len(state.evaluated) == 24
+    points = b"".join(np.asarray(r.point, dtype="<f8").tobytes() for r in state.evaluated)
+    assert sha(points) == TUNER_GOLDEN[seed]

@@ -53,10 +53,6 @@ class TestLogloss:
         with pytest.raises(ValueError, match="sum to 1"):
             logloss(np.asarray([[0.7, 0.7]]), [0])
 
-    def test_unknown_label_errors(self):
-        with pytest.raises(ValueError, match="unknown label"):
-            logloss(np.asarray([[0.5, 0.5]]), ["z"], labels=["a", "b"])
-
     def test_out_of_range_index_errors(self):
         with pytest.raises(ValueError, match="out of range"):
             logloss(np.asarray([[0.5, 0.5]]), [2])
