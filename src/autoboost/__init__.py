@@ -1,17 +1,6 @@
 """autoboost: single-learner AutoML around tuned gradient boosted trees."""
 
-from .data import (
-    DataError,
-    Dataset,
-    SchemaError,
-    SplitPair,
-    load_csv,
-    majority_baseline,
-    split_holdout,
-)
-from .encoding import EncoderModel, fit_encoders, transform
-from .gbt import BoostedModel, GBTConfig, leaf_weight, loss_grad_hess, predict, split_gain, train
-from .metrics import Measure, default_measure, get_measure, logloss, mmce, rmse
+from .data import DataError, Dataset, SchemaError, load_csv
 from .pipeline import (
     AutoConfig,
     BundleError,
@@ -23,78 +12,21 @@ from .pipeline import (
     load,
     save,
 )
-from .smbo import (
-    ParamSpace,
-    TuneState,
-    decode_config,
-    encode_config,
-    expected_improvement,
-    gp_fit,
-    history_csv,
-    initial_design,
-    propose_point,
-    simple_space,
-    tune,
-)
-from .threshold import (
-    ThresholdVector,
-    apply_thresholds,
-    optimize_binary,
-    optimize_multiclass_gsa,
-)
-from .cli import BenchmarkReport, bootstrap_aggregate, run_benchmark
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutoConfig",
-    "BenchmarkReport",
-    "BoostedModel",
     "BundleError",
     "BundleVersionError",
     "DataError",
     "Dataset",
-    "EncoderModel",
-    "GBTConfig",
-    "Measure",
-    "ParamSpace",
     "PipelineModel",
     "Predictions",
     "SchemaError",
-    "SplitPair",
-    "ThresholdVector",
-    "TuneState",
-    "apply_thresholds",
     "autogbt_fit",
     "autogbt_predict",
-    "bootstrap_aggregate",
-    "decode_config",
-    "default_measure",
-    "encode_config",
-    "expected_improvement",
-    "fit_encoders",
-    "get_measure",
-    "gp_fit",
-    "history_csv",
-    "initial_design",
-    "leaf_weight",
     "load",
     "load_csv",
-    "logloss",
-    "loss_grad_hess",
-    "majority_baseline",
-    "mmce",
-    "optimize_binary",
-    "optimize_multiclass_gsa",
-    "predict",
-    "propose_point",
-    "rmse",
-    "run_benchmark",
     "save",
-    "simple_space",
-    "split_gain",
-    "split_holdout",
-    "train",
-    "transform",
-    "tune",
 ]

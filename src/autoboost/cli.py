@@ -284,14 +284,16 @@ def _cmd_predict(args) -> int:
     preds = autogbt_predict(model, data)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
+        # csv writes each float as its repr, the shortest exact decimal.
         if preds.task == "regression":
             writer.writerow(["prediction"])
-            for v in preds.values:
-                writer.writerow([repr(float(v))])
+            writer.writerows([v] for v in preds.values.tolist())
         else:
             writer.writerow(["prediction"] + [f"prob_{c}" for c in preds.classes])
-            for label, row in zip(preds.labels, preds.probabilities):
-                writer.writerow([label] + [repr(float(p)) for p in row])
+            writer.writerows(
+                [label, *row]
+                for label, row in zip(preds.labels, preds.probabilities.tolist())
+            )
     print(f"wrote {data.n_rows} predictions to {args.out}")
     return EXIT_OK
 

@@ -291,7 +291,9 @@ def split_holdout(
     """Split off a validation holdout of round(valid_fraction * n_rows) rows.
 
     Stratified splits allocate per-class validation counts by largest
-    remainder, which keeps class proportions within one row of exact. The
+    remainder, which keeps class proportions within one row of exact, and
+    leave at least one row of every class in training: a class already at
+    its cap passes its extra row to the next class in remainder order. The
     split is a pure function of (d, valid_fraction, seed, stratify).
     """
     if not (0.0 < valid_fraction < 1.0):
@@ -311,12 +313,20 @@ def split_holdout(
         thin = [c for c in classes if counts[c] < 2]
         if thin:
             raise DataError(f"class {thin[0]!r} has fewer than 2 rows, cannot stratify")
+        if n_valid > n - len(classes):
+            raise DataError(
+                f"a {n_valid}-row holdout leaves no training row for some of the "
+                f"{len(classes)} classes in {n} rows"
+            )
         quotas = {c: n_valid * counts[c] / n for c in classes}
         alloc = {c: int(math.floor(quotas[c])) for c in classes}
         shortfall = n_valid - sum(alloc.values())
         by_remainder = sorted(classes, key=lambda c: (-(quotas[c] - alloc[c]), c))
-        for c in by_remainder[:shortfall]:
-            alloc[c] += 1
+        while shortfall:
+            for c in by_remainder:
+                if shortfall and alloc[c] < counts[c] - 1:
+                    alloc[c] += 1
+                    shortfall -= 1
         valid_idx = []
         for c in classes:
             members = np.flatnonzero(y == c)

@@ -63,16 +63,17 @@ class Tree(NamedTuple):
     """One regression tree as parallel node arrays; node 0 is the root.
 
     A node with ``feature < 0`` is a leaf whose output is ``value``. Any other
-    node sends a row to ``left`` when its feature is below ``threshold``, to
-    ``right`` otherwise, and a missing feature value goes left iff
-    ``default_left``. Nodes are numbered in the depth-wise order they grow.
+    node sends a row to its left child when its feature is below
+    ``threshold``, to its right child otherwise, and a missing feature value
+    goes left iff ``default_left``. Nodes are numbered in the depth-wise order
+    they grow, and both children of a split are added together, so the right
+    child is always ``left + 1``.
     """
 
     feature: np.ndarray  # intp, -1 at leaves
     threshold: np.ndarray  # float64
     default_left: np.ndarray  # bool
-    left: np.ndarray  # intp child index, -1 at leaves
-    right: np.ndarray  # intp child index, -1 at leaves
+    left: np.ndarray  # intp left child index (the right child is left + 1), -1 at leaves
     value: np.ndarray  # float64 leaf output, learning rate applied; 0 inside
 
     @classmethod
@@ -89,7 +90,6 @@ _NODE_FIELDS = {
     "threshold": (np.float64, 0.0),
     "default_left": (bool, True),
     "left": (np.intp, -1),
-    "right": (np.intp, -1),
     "value": (np.float64, 0.0),
 }
 
@@ -310,9 +310,9 @@ def build_tree(
             x = X[rows, split.feature]
             go_left = x < split.threshold
             go_left[np.isnan(x)] = split.default_left
-            left, right = add_node(), add_node()
-            nodes["left"][node], nodes["right"][node] = left, right
-            next_frontier += [(left, rows[go_left]), (right, rows[~go_left])]
+            nodes["left"][node] = left = add_node()
+            add_node()  # the right child, numbered left + 1
+            next_frontier += [(left, rows[go_left]), (left + 1, rows[~go_left])]
         frontier = next_frontier
     for node, rows in frontier:
         finish_leaf(node, rows)
@@ -333,7 +333,7 @@ def _tree_outputs(tree: Tree, X: np.ndarray) -> np.ndarray:
         go_left = x < tree.threshold[node]
         go_left[np.isnan(x)] = tree.default_left[node]
         stack.append((tree.left[node], idx[go_left]))
-        stack.append((tree.right[node], idx[~go_left]))
+        stack.append((tree.left[node] + 1, idx[~go_left]))
     return out
 
 

@@ -2,11 +2,12 @@
 
 One fit call produces a deployable PipelineModel: fitted encoders, the
 incumbent's early-stopped boosted model, optimized thresholds, and the full
-tuning history. The model of the best completed evaluation is kept as-is
-(no refit on merged data, which would invalidate the early-stopped round
-count). Bundles are versioned, checksummed JSON documents whose numbers
-round-trip exactly; each tree is stored as its node arrays and each
-encoder as its level table.
+tuning history. The model of the best completed evaluation is kept with its
+rounds up to ``best_iteration``, the ones prediction uses (no refit on merged
+data, which would invalidate the early-stopped round count). Bundles are
+versioned, checksummed, compact JSON documents whose numbers round-trip
+exactly; each tree is stored as its node arrays and each encoder as its
+level table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .smbo import decode_config, simple_space, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
 FORMAT_NAME = "autoboost-pipeline"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class BundleError(ValueError):
@@ -74,7 +75,6 @@ class PipelineModel:
     task: str
     classes: tuple[str, ...] | None
     measure: str
-    gbt_config: gbt.GBTConfig
     auto_config: dict
     history: dict
     fit_report: dict
@@ -160,10 +160,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         else:
             thresholds, value = optimize_multiclass_gsa(preds, y_valid, mmce, seed=cfg.seed)
         if value < incumbent["value"]:
-            incumbent.update(
-                value=value, model=model, thresholds=thresholds,
-                gbt_config=gcfg, predictions=preds,
-            )
+            incumbent.update(value=value, model=model, thresholds=thresholds)
         return value
 
     state = tune(
@@ -174,34 +171,24 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
 
     history = {
         "evaluations": [
-            {
-                "point": rec.point.tolist(),
-                "config": rec.config,
-                "value": rec.value,
-                "elapsed": rec.elapsed,
-            }
+            {"config": rec.config, "value": rec.value, "elapsed": rec.elapsed}
             for rec in state.evaluated
         ],
         "incumbent_index": state.incumbent_index,
     }
-    fit_report = {
-        "split_seed": cfg.seed,
-        "valid_fraction": cfg.valid_fraction,
-        "stratified": classification,
-        "objective_value": incumbent["value"],
-        "valid_predictions": np.asarray(incumbent["predictions"]).tolist(),
-    }
+    # Prediction never reads past best_iteration; valid_history keeps every
+    # trained round, so the bundle still shows why boosting stopped.
+    model = incumbent["model"]
     return PipelineModel(
         encoders=enc,
-        model=incumbent["model"],
+        model=dataclasses.replace(model, rounds=model.rounds[: model.best_iteration]),
         thresholds=incumbent["thresholds"] if classification else None,
         task=task,
         classes=classes,
         measure=measure.name,
-        gbt_config=incumbent["gbt_config"],
         auto_config=dataclasses.asdict(cfg),
         history=history,
-        fit_report=fit_report,
+        fit_report={"objective_value": incumbent["value"]},
     )
 
 
@@ -296,7 +283,6 @@ def _to_payload(p: PipelineModel) -> dict:
         "encoders": _encoders_to_list(p.encoders),
         "model": _model_to_dict(p.model),
         "thresholds": p.thresholds.t.tolist() if p.thresholds is not None else None,
-        "gbt_config": dataclasses.asdict(p.gbt_config),
         "auto_config": p.auto_config,
         "history": p.history,
         "fit_report": p.fit_report,
@@ -312,7 +298,6 @@ def _from_payload(payload: dict) -> PipelineModel:
         task=payload["task"],
         classes=tuple(payload["classes"]) if payload["classes"] is not None else None,
         measure=payload["measure"],
-        gbt_config=gbt.GBTConfig(**payload["gbt_config"]),
         auto_config=payload["auto_config"],
         history=payload["history"],
         fit_report=payload["fit_report"],
@@ -324,16 +309,19 @@ def _canonical(payload: dict) -> str:
 
 
 def save(p: PipelineModel, path: str | Path) -> None:
-    """Write the pipeline as a versioned, checksummed JSON document."""
+    """Write the pipeline as a versioned, checksummed JSON document.
+
+    The document is written in the same compact, key-sorted form that the
+    checksum hashes.
+    """
     payload = _to_payload(p)
-    canonical = _canonical(payload)
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "checksum": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "checksum": hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest(),
         "payload": payload,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False), encoding="utf-8")
+    Path(path).write_text(_canonical(doc), encoding="utf-8")
 
 
 def load(path: str | Path) -> PipelineModel:

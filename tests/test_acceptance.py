@@ -331,7 +331,7 @@ def test_criterion_10_bundle_roundtrip_and_tamper_detection(tmp_path):
         (tmp_path / "tampered.bundle").write_text(json.dumps(doc))
         with pytest.raises(BundleError):
             load(tmp_path / "tampered.bundle")
-        for version in (FORMAT_VERSION + 1, 1, 2):
+        for version in (FORMAT_VERSION + 1, 1, 2, 3):
             doc = json.loads(text)
             doc["version"] = version
             (tmp_path / "foreign.bundle").write_text(json.dumps(doc))

@@ -175,6 +175,33 @@ class TestSplitHoldout:
 
             assert Counter(rows(sp.train)) + Counter(rows(sp.valid)) == Counter(rows(d))
 
+    def test_stratified_keeps_a_training_row_of_every_class(self):
+        # 2 of 10 rows are "a": an 80% holdout's quota for "a" is 1.6, which
+        # largest remainder rounds up to both rows. The cap keeps one in
+        # training and gives the freed row to "b", so the holdout keeps 8 rows.
+        y = np.asarray(["a"] * 2 + ["b"] * 8, dtype=object)
+        d = Dataset(
+            (Column("x", "numeric", np.arange(10.0)), Column("y", "categorical", y)),
+            "y",
+            "binary",
+        )
+        for seed in range(10):
+            sp = split_holdout(d, 0.8, seed=seed, stratify=True)
+            assert sp.valid.n_rows == 8
+            assert sorted(sp.train.target_values().tolist()) == ["a", "b"]
+
+    def test_stratified_holdout_that_must_take_a_whole_class_errors(self):
+        # 9 of 10 rows in the holdout leave one training row for two classes.
+        y = np.asarray(["a"] * 5 + ["b"] * 5, dtype=object)
+        d = Dataset(
+            (Column("x", "numeric", np.arange(10.0)), Column("y", "categorical", y)),
+            "y",
+            "binary",
+        )
+        with pytest.raises(DataError, match="no training row"):
+            split_holdout(d, 0.9, seed=1, stratify=True)
+        assert split_holdout(d, 0.8, seed=1, stratify=True).valid.n_rows == 8
+
     def test_stratified_proportions_within_one_row(self):
         d = binary_margin_dataset(97, seed=5)
         sp = split_holdout(d, 0.2, seed=3, stratify=True)

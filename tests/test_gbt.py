@@ -295,7 +295,7 @@ class TestTraining:
             tree = Tree.from_lists(
                 feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
                 default_left=[default_left, True, True], left=[1, -1, -1],
-                right=[2, -1, -1], value=[0.0, -1.0, 1.0],
+                value=[0.0, -1.0, 1.0],
             )
             model = BoostedModel(
                 task="regression", base_score=np.asarray(0.0),

@@ -4,7 +4,9 @@ Each case fits a small pipeline with a fixed seed and a budget above the
 16-point initial design, so at least one GP-guided proposal is evaluated,
 then predicts on a second sample with NaNs and unseen categorical levels.
 The SHA-256 digests below pin the predicted probability bytes, the labels,
-the tuning history values and the early-stopping record of the incumbent.
+the tuning history values, the early-stopping record of the incumbent, and
+the canonical bundle payload with each evaluation's wall-clock ``elapsed``
+removed, the one part of a bundle that differs between two fits.
 A refactor that keeps the booster's arithmetic must reproduce them exactly;
 any change in split choice, RNG draws, leaf weights or tuning order shows up
 as a different digest.
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from autoboost.data import Column, Dataset
-from autoboost.pipeline import AutoConfig, autogbt_fit, autogbt_predict
+from autoboost.pipeline import AutoConfig, _canonical, _to_payload, autogbt_fit, autogbt_predict
 from autoboost.smbo import tune
 
 CFG = AutoConfig(budget=17, deadline=600.0, max_rounds=8, patience=4, seed=5)
@@ -72,6 +74,10 @@ def digests(classes):
     score = features_only(mixed_dataset(120, seed=42, classes=classes), unseen_seed=43)
     model = autogbt_fit(train, CFG)
     preds = autogbt_predict(model, score)
+    payload = _to_payload(model)
+    payload["history"] = dict(payload["history"], evaluations=[
+        {k: v for k, v in e.items() if k != "elapsed"} for e in payload["history"]["evaluations"]
+    ])
     return {
         "probabilities": sha(np.ascontiguousarray(preds.probabilities, dtype="<f8").tobytes()),
         "labels": sha("\n".join(preds.labels)),
@@ -79,6 +85,7 @@ def digests(classes):
         "early_stopping": sha(
             repr(model.model.best_iteration) + ":" + ",".join(map(repr, model.model.valid_history))
         ),
+        "payload": sha(_canonical(payload)),
     }
 
 
@@ -88,12 +95,14 @@ GOLDEN = {
         "labels": "9360506de6412a56a6c942cb6671d712556551004505e921b05c52de3d543d69",
         "history": "700eaee393072d4df91323bdbcfbd18f33d1d3392c4baabe05463b90342f54be",
         "early_stopping": "79cf7e416fc58454618098ef0b9c870370c84890b1dc1c9c6d59f715b90a94c2",
+        "payload": "b84744fa284ca7ce9de0b0a25177cc2791ce65165ecbd8322feccea5ff03563b",
     },
     "multiclass": {
         "probabilities": "485484f87b20f8b2e6270dff087f25dcb3030cb152ebf0bb5fda4a01be559d40",
         "labels": "49c2027882c22325a73459f40d8fc6942f5f3179b40ba329d5162a505a2c29e8",
         "history": "bf67aadf1979317453760d4dbb8e101b45a5d30c3319d83cd20aa31c582cd635",
         "early_stopping": "67bb00065a86d62c2bf8266452a49a0446c705cbf0bd344c7c976c393a309199",
+        "payload": "dcf834fb81269eba2b174a5c4ac06328287a69e6b2a8653a909afdb29aca6c24",
     },
 }
 

@@ -8,7 +8,7 @@ import pytest
 from autoboost.data import Column, DataError, Dataset, SchemaError, split_holdout, majority_baseline
 from autoboost.encoding import transform
 from autoboost.gbt import predict as gbt_predict
-from autoboost.metrics import mmce, rmse
+from autoboost.metrics import logloss, mmce, rmse
 from autoboost.pipeline import (
     AutoConfig,
     BundleError,
@@ -119,12 +119,20 @@ class TestFit:
 
 
 class TestPredict:
-    def test_reproduces_fit_time_validation_predictions(self, fitted_binary):
-        train, cfg, model = fitted_binary
-        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+    def test_reproduces_fit_time_validation_predictions(self):
+        # The logloss of the deployed predictions on the holdout is the
+        # incumbent's objective, bit for bit, so prediction after packaging
+        # reproduces the fit-time holdout probabilities.
+        train = binary_margin_dataset(150, seed=41, missing=0.05)
+        cfg = AutoConfig(measure="logloss", seed=7, budget=4, deadline=60.0,
+                         max_rounds=20, patience=4)
+        model = autogbt_fit(train, cfg)
+        split = split_holdout(
+            train, model.auto_config["valid_fraction"], model.auto_config["seed"], stratify=True
+        )
         preds = autogbt_predict(model, split.valid)
-        stored = np.asarray(model.fit_report["valid_predictions"])
-        np.testing.assert_array_equal(preds.probabilities, stored)
+        value = logloss(preds.probabilities, split.valid.class_indices(model.classes))
+        assert value == model.fit_report["objective_value"]
 
     def test_unseen_category_predicts_without_error(self, fitted_binary):
         _, _, model = fitted_binary
@@ -159,8 +167,7 @@ class TestInternalConsistency:
     def test_incumbent_value_matches_reevaluation(self, fitted_binary):
         train, cfg, model = fitted_binary
         split = split_holdout(
-            train, model.fit_report["valid_fraction"], model.fit_report["split_seed"],
-            stratify=model.fit_report["stratified"],
+            train, model.auto_config["valid_fraction"], model.auto_config["seed"], stratify=True
         )
         encoded = transform(model.encoders, split.valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
@@ -212,11 +219,15 @@ class TestHoldoutLabels:
         assert value == model.fit_report["objective_value"]
         assert value <= mmce(np.argmax(probs, axis=1), truth)
 
-    def test_holdout_label_unknown_to_training_errors(self):
-        # An 80% holdout takes both rows of the rare class.
+    def test_large_holdout_keeps_a_training_row_of_the_rare_class(self):
+        # An 80% holdout's quota for the rare class rounds up to both of its
+        # rows; the split keeps one in training, so the fit succeeds.
+        train = rare_class_dataset()
         cfg = AutoConfig(seed=1, budget=4, deadline=60.0, max_rounds=5, valid_fraction=0.8)
-        with pytest.raises(DataError, match="'a' not present in training data"):
-            autogbt_fit(rare_class_dataset(), cfg)
+        model = autogbt_fit(train, cfg)
+        assert model.classes == ("a", "b", "c")
+        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+        assert "a" in set(split.train.target_values())
 
 
 class TestBundle:
@@ -252,6 +263,24 @@ class TestBundle:
         test = linear_regression_dataset(40, seed=72)
         np.testing.assert_array_equal(
             autogbt_predict(model, test).values, autogbt_predict(loaded, test).values
+        )
+
+    def test_bundle_keeps_rounds_up_to_best_iteration(self, fitted_binary, tmp_path):
+        _, _, model = fitted_binary
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        for m in (model.model, load(path).model):
+            assert len(m.rounds) == m.best_iteration
+            # Boosting ran past the best round; every trained round's
+            # validation value is kept.
+            assert len(m.valid_history) > m.best_iteration
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 4
+        assert doc["payload"]["fit_report"] == {"objective_value": model.fit_report["objective_value"]}
+        assert all(set(e) == {"config", "value", "elapsed"} for e in doc["payload"]["history"]["evaluations"])
+        assert all(
+            set(tree) == {"feature", "threshold", "default_left", "left", "value"}
+            for group in doc["payload"]["model"]["rounds"] for tree in group
         )
 
     def test_truncated_file_raises_bundle_error(self, fitted_binary, tmp_path):
