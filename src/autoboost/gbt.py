@@ -151,9 +151,7 @@ def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float
             + g_right**2 / (h_right + reg_lambda)
             - (g_left + g_right) ** 2 / (h_left + h_right + reg_lambda)
         ) - gamma
-    return np.where(np.isfinite(gain), gain, _NEG_INF) if gain.ndim else (
-        float(gain) if np.isfinite(gain) else _NEG_INF
-    )
+    return np.where(np.isfinite(gain), gain, _NEG_INF)
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float, reg_alpha: float) -> float:
@@ -184,70 +182,65 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class _Split:
-    gain: float
-    feature: int
-    threshold: float
-    default_left: bool
-
-
-def _best_split(X, g, h, rows, cols, reg_lambda, gamma) -> _Split | None:
+def _best_split(X, g, h, rows, cols, reg_lambda, gamma):
     """Exact greedy search over (feature, threshold, default direction).
 
-    Candidates are scanned feature-ascending, threshold-ascending, with the
-    missing-default tried left before right; only a strictly larger gain
-    replaces the running best, so ties resolve to the earliest candidate.
+    All columns of the node are sorted once, as one ``rows x cols`` block; a
+    candidate lies between two distinct adjacent present values, and its sums
+    are cumulative sums of the sorted gradients. The result equals a scan
+    feature-ascending, threshold-ascending, missing-default left before right,
+    where only a strictly larger gain replaces the best, so ties go to the
+    earliest candidate. Returns ``(gain, feature, threshold, default_left)``,
+    or None when no candidate has a positive gain.
     """
     g_node = g[rows]
     h_node = h[rows]
     g_total = float(g_node.sum())
     h_total = float(h_node.sum())
-    best: _Split | None = None
-    for f in cols:
-        x = X[rows, f]
-        miss = np.isnan(x)
-        n_miss = int(miss.sum())
-        xm = x[~miss]
-        if xm.size < 2:
-            continue
-        order = np.argsort(xm, kind="stable")
-        xs = xm[order]
-        if xs[0] == xs[-1]:
-            continue
-        gs = g_node[~miss][order]
-        hs = h_node[~miss][order]
-        g_miss = float(g_node[miss].sum()) if n_miss else 0.0
-        h_miss = float(h_node[miss].sum()) if n_miss else 0.0
+    block = X[np.ix_(rows, cols)]
+    # A stable sort puts each column's NaNs last, in row order.
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    gs = g_node[order]
+    hs = h_node[order]
+    # Missing-row sums as the 1-D sum over the same rows in the same order,
+    # which a column reduction of the block would not reproduce to the bit.
+    n_miss = np.isnan(block).sum(axis=0)
+    g_miss = np.zeros(len(cols))
+    h_miss = np.zeros(len(cols))
+    for f in np.flatnonzero(n_miss):
+        g_miss[f] = gs[-n_miss[f]:, f].sum()
+        h_miss[f] = hs[-n_miss[f]:, f].sum()
 
-        g_left = np.cumsum(gs)[:-1]
-        h_left = np.cumsum(hs)[:-1]
-        boundary = xs[:-1] < xs[1:]
-        if not boundary.any():
-            continue
-        thresholds = 0.5 * (xs[:-1] + xs[1:])
+    g_left = np.cumsum(gs, axis=0)[:-1]
+    h_left = np.cumsum(hs, axis=0)[:-1]
+    # NaN compares false, so no boundary reaches into the missing rows.
+    boundary = xs[:-1] < xs[1:]
+    thresholds = 0.5 * (xs[:-1] + xs[1:])
 
-        # Try missing rows on the left, then on the right.
-        gains_l = split_gain(
-            g_left + g_miss, h_left + h_miss,
-            g_total - g_left - g_miss, h_total - h_left - h_miss,
-            reg_lambda, gamma,
-        )
-        gains_r = split_gain(
-            g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma
-        )
-        gains_l = np.where(boundary, gains_l, _NEG_INF)
-        gains_r = np.where(boundary, gains_r, _NEG_INF)
+    # Missing rows on the left, then on the right.
+    gains_l = split_gain(
+        g_left + g_miss, h_left + h_miss,
+        g_total - g_left - g_miss, h_total - h_left - h_miss,
+        reg_lambda, gamma,
+    )
+    gains_r = split_gain(g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma)
+    gains_l = np.where(boundary, gains_l, _NEG_INF)
+    gains_r = np.where(boundary, gains_r, _NEG_INF)
 
-        i_l = int(np.argmax(gains_l))
-        i_r = int(np.argmax(gains_r))
-        cand = _Split(float(gains_l[i_l]), int(f), float(thresholds[i_l]), True)
-        gain_r = float(gains_r[i_r])
-        if gain_r > cand.gain or (gain_r == cand.gain and thresholds[i_r] < cand.threshold):
-            cand = _Split(gain_r, int(f), float(thresholds[i_r]), False)
-        if best is None or cand.gain > best.gain:
-            best = cand
-    return best
+    # Per column: the smallest threshold among equal gains, left before right.
+    j = np.arange(len(cols))
+    i_l = np.argmax(gains_l, axis=0)
+    i_r = np.argmax(gains_r, axis=0)
+    gain_l, gain_r = gains_l[i_l, j], gains_r[i_r, j]
+    thr_l, thr_r = thresholds[i_l, j], thresholds[i_r, j]
+    right = (gain_r > gain_l) | ((gain_r == gain_l) & (thr_r < thr_l))
+    gain = np.where(right, gain_r, gain_l)
+    best = int(np.argmax(gain))  # the first column among equal gains
+    if not gain[best] > 0.0:
+        return None
+    threshold = thr_r[best] if right[best] else thr_l[best]
+    return float(gain[best]), int(cols[best]), float(threshold), not right[best]
 
 
 def _sample_cols(cols: np.ndarray, frac: float, rng) -> np.ndarray:
@@ -301,15 +294,16 @@ def build_tree(
         next_frontier: list[tuple[int, np.ndarray]] = []
         for node, rows in frontier:
             split = _best_split(X, g, h, rows, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
-            if split is None or not (split.gain > 0.0):
+            if split is None:
                 finish_leaf(node, rows)
                 continue
-            nodes["feature"][node] = split.feature
-            nodes["threshold"][node] = split.threshold
-            nodes["default_left"][node] = split.default_left
-            x = X[rows, split.feature]
-            go_left = x < split.threshold
-            go_left[np.isnan(x)] = split.default_left
+            _, feature, threshold, default_left = split
+            nodes["feature"][node] = feature
+            nodes["threshold"][node] = threshold
+            nodes["default_left"][node] = default_left
+            x = X[rows, feature]
+            go_left = x < threshold
+            go_left[np.isnan(x)] = default_left
             nodes["left"][node] = left = add_node()
             add_node()  # the right child, numbered left + 1
             next_frontier += [(left, rows[go_left]), (left + 1, rows[~go_left])]

@@ -18,14 +18,13 @@ ROW_SUM_TOL = 1e-8
 @dataclass(frozen=True)
 class Measure:
     name: str
-    direction: str  # always "minimize"
     requires: str   # "labels" | "probabilities" | "numeric"
 
 
 MEASURES = {
-    "mmce": Measure("mmce", "minimize", "labels"),
-    "logloss": Measure("logloss", "minimize", "probabilities"),
-    "rmse": Measure("rmse", "minimize", "numeric"),
+    "mmce": Measure("mmce", "labels"),
+    "logloss": Measure("logloss", "probabilities"),
+    "rmse": Measure("rmse", "numeric"),
 }
 
 

@@ -300,7 +300,6 @@ class TuneState:
 
     space: ParamSpace
     budget: int
-    deadline: float
     seed: int
     evaluated: list[EvalRecord] = field(default_factory=list)
     gp: GPSurrogate | None = None
@@ -399,7 +398,7 @@ def tune(
         raise TuneError(f"budget ({budget}) must be >= n_init ({n_init})")
 
     start = time.monotonic()
-    state = TuneState(space=space, budget=budget, deadline=deadline, seed=seed)
+    state = TuneState(space=space, budget=budget, seed=seed)
     for i, pt in enumerate(initial_design(space, n_init, seed)):
         if i > 0 and time.monotonic() - start > deadline:
             break

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autoboost.data import Column, DataError, Dataset
 from autoboost.gbt import (
@@ -208,6 +210,61 @@ class TestExactSplitOracle:
                 assert oracle is None or oracle[0] <= 0.0
                 continue
             assert_split_matches_oracle(tree, oracle, margin, X, g, h)
+
+
+def depth1_tree(X, g, h, lam=0.0, cols=None):
+    return build_tree(
+        X, g, h, max_depth=1, reg_lambda=lam, reg_alpha=0.0, gamma=0.0, eta=1.0,
+        cols=None if cols is None else np.asarray(cols),
+    )
+
+
+@st.composite
+def split_cases(draw):
+    """Integer-valued columns (many ties), some constant, NaN shares up to 1,
+    an ascending column subset, random positive hessians and lambda 0 or 1."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    nan_share = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=d, max_size=d
+    ))
+    cols = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    lam = draw(st.sampled_from([0.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
+    X[rng.uniform(size=(n, d)) < nan_share] = np.nan
+    return X, rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), cols, lam
+
+
+class TestSplitTieRule:
+    def test_equal_gains_take_the_smaller_threshold_and_default_left(self):
+        # Thresholds 0.5 and 2.5 tie exactly; with no NaN, left and right tie too.
+        tree = depth1_tree(np.arange(4.0)[:, None], np.asarray([1.0, -1.0, -1.0, 1.0]), np.ones(4))
+        assert root_split(tree) == (0, 0.5, True)
+
+    def test_identical_columns_take_the_first(self):
+        X = np.repeat(np.arange(6.0)[:, None], 2, axis=1)
+        tree = depth1_tree(X, np.asarray([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.ones(6))
+        assert root_split(tree)[0] == 0
+
+    def test_winning_column_maps_back_through_cols(self):
+        X = np.repeat(np.arange(6.0)[:, None], 3, axis=1)
+        g = np.asarray([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        tree = depth1_tree(X, g, np.ones(6), cols=[1, 2])
+        assert root_split(tree)[0] == 1
+
+    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @given(split_cases())
+    def test_column_subset_matches_oracle(self, case):
+        X, g, h, cols, lam = case
+        tree = depth1_tree(X, g, h, lam, cols)
+        oracle, margin = depth1_oracle(X[:, cols], g, h, lam)
+        if tree.feature[0] < 0:
+            assert oracle is None or oracle[0] <= 0.0
+            return
+        gain, f, thr, default_left = oracle
+        assert_split_matches_oracle(tree, (gain, cols[f], thr, default_left), margin, X, g, h, lam)
 
 
 def arrays(ds):

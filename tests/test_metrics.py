@@ -83,10 +83,6 @@ class TestRegistry:
         assert default_measure("multiclass").name == "mmce"
         assert default_measure("regression").name == "rmse"
 
-    def test_all_measures_minimize(self):
-        for name in ("mmce", "logloss", "rmse"):
-            assert get_measure(name).direction == "minimize"
-
     def test_unknown_name_errors(self):
         with pytest.raises(ValueError, match="unknown measure"):
             get_measure("auc")
