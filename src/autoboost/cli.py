@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,8 +67,6 @@ class DatasetReport:
     baseline: float | None = None
     run_values: list[float] = dataclasses.field(default_factory=list)
     aggregated: float | None = None
-    seeds: list[int] = dataclasses.field(default_factory=list)
-    wall_times: list[float] = dataclasses.field(default_factory=list)
     error: str | None = None
 
 
@@ -159,11 +156,8 @@ def run_benchmark(
                 report.baseline = rmse(np.full(len(truth), mean_pred), truth)
             for r in range(1, repetitions + 1):
                 run_cfg = dataclasses.replace(cfg, measure=task.measure, seed=seed + r)
-                started = time.monotonic()
                 model = autogbt_fit(train, run_cfg)
                 report.run_values.append(_test_value(task.measure, model, test))
-                report.seeds.append(seed + r)
-                report.wall_times.append(time.monotonic() - started)
             report.aggregated = bootstrap_aggregate(report.run_values, B, size, seed, agg)
         except (DataError, ValueError, OSError, TuneError) as exc:
             report.error = str(exc)

@@ -29,15 +29,6 @@ class SchemaError(DataError):
     """Column names or kinds do not match the expected schema."""
 
 
-def _parse_number(cell: str) -> float | None:
-    """Return the finite float value of ``cell``, or None if it is not one."""
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 @dataclass(frozen=True)
 class Column:
     """One named column.
@@ -188,7 +179,6 @@ class SplitPair:
 
     train: Dataset
     valid: Dataset
-    seed: int
 
 
 def load_csv(
@@ -254,14 +244,22 @@ def load_csv(
     return Dataset(tuple(columns), target, task if target is not None else None)
 
 
-def _build_feature_column(name: str, cells: list[str], na_set: set[str]) -> Column:
+def _numeric_values(cells: list[str], na_set: set[str]) -> np.ndarray | None:
+    """The cells as floats, NaN where missing, or None if the column is not numeric.
+
+    A column is numeric when every present cell parses as a finite number.
+    """
     missing = [c in na_set for c in cells]
     try:
         values = np.asarray([np.nan if m else float(c) for c, m in zip(cells, missing)])
     except ValueError:
-        values = None
-    # Numeric when every present cell is a finite number.
-    if values is not None and np.all(np.isfinite(values) | np.asarray(missing)):
+        return None
+    return values if np.all(np.isfinite(values) | np.asarray(missing)) else None
+
+
+def _build_feature_column(name: str, cells: list[str], na_set: set[str]) -> Column:
+    values = _numeric_values(cells, na_set)
+    if values is not None:
         return Column(name, "numeric", values)
     values = np.asarray([NA_LEVEL if c in na_set else c for c in cells], dtype=object)
     return Column(name, "categorical", values)
@@ -272,12 +270,11 @@ def _build_target_column(
 ) -> Column:
     if any(c in na_set for c in cells):
         raise DataError(f"target column {name!r} has missing cells")
-    parsed = [_parse_number(c) for c in cells]
-    all_numeric = all(v is not None for v in parsed)
-    if task_hint == "regression" or (task_hint is None and all_numeric):
-        if not all_numeric:
+    values = _numeric_values(cells, na_set)
+    if task_hint == "regression" or (task_hint is None and values is not None):
+        if values is None:
             raise DataError(f"target column {name!r} is not numeric, cannot regress")
-        return Column(name, "numeric", np.asarray(parsed, dtype=np.float64))
+        return Column(name, "numeric", values)
     # Classification targets keep their literal string labels, numeric-looking or not.
     distinct = len(set(cells))
     if task_hint is None and distinct < 2:
@@ -339,7 +336,7 @@ def split_holdout(
     mask = np.zeros(n, dtype=bool)
     mask[valid_rows] = True
     train_rows = np.flatnonzero(~mask)
-    return SplitPair(d.subset(train_rows), d.subset(valid_rows), seed)
+    return SplitPair(d.subset(train_rows), d.subset(valid_rows))
 
 
 def majority_baseline(train: Dataset, test: Dataset) -> float:

@@ -450,12 +450,11 @@ def train(
     )
 
 
-def predict(model: BoostedModel, X: np.ndarray, upto: int | None = None) -> np.ndarray:
+def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     """Predict raw regression values or row-stochastic class probabilities.
 
-    Sums tree outputs through min(upto, best_iteration) rounds, default
-    best_iteration. Missing features follow each node's stored default
-    direction.
+    Sums tree outputs through best_iteration rounds. Missing features follow
+    each node's stored default direction.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -463,9 +462,8 @@ def predict(model: BoostedModel, X: np.ndarray, upto: int | None = None) -> np.n
             f"feature count mismatch: model expects {model.n_features}, got "
             f"{X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
-    n_rounds = model.best_iteration if upto is None else max(0, min(upto, model.best_iteration))
     scores = np.tile(model.base_score, (len(X), 1))
-    for group in model.rounds[:n_rounds]:
+    for group in model.rounds[: model.best_iteration]:
         for c, tree in enumerate(group):
             scores[:, c] += _tree_outputs(tree, X)
     if model.task == "multiclass":

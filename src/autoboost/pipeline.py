@@ -24,7 +24,7 @@ import numpy as np
 from . import gbt
 from .data import DataError, Dataset, split_holdout
 from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
-from .metrics import Measure, default_measure, get_measure, logloss, mmce, rmse
+from .metrics import Measure, default_measure, get_measure, logloss, rmse
 from .smbo import decode_config, simple_space, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
@@ -156,9 +156,9 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
             value = logloss(preds, y_valid)
             thresholds = _default_thresholds(task, n_classes)
         elif task == "binary":
-            thresholds, value = optimize_binary(preds[:, 1], y_valid, mmce)
+            thresholds, value = optimize_binary(preds[:, 1], y_valid)
         else:
-            thresholds, value = optimize_multiclass_gsa(preds, y_valid, mmce, seed=cfg.seed)
+            thresholds, value = optimize_multiclass_gsa(preds, y_valid, seed=cfg.seed)
         if value < incumbent["value"]:
             incumbent.update(value=value, model=model, thresholds=thresholds)
         return value
@@ -210,11 +210,7 @@ def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
     raw = gbt.predict(p.model, x)
     if p.task == "regression":
         return Predictions(task=p.task, values=raw)
-    thresholds = p.thresholds if p.thresholds is not None else _default_thresholds(
-        p.task, len(p.classes)
-    )
-    idx = apply_thresholds(raw, thresholds)
-    labels = [p.classes[i] for i in idx]
+    labels = [p.classes[i] for i in apply_thresholds(raw, p.thresholds)]
     return Predictions(
         task=p.task, labels=labels, probabilities=raw, classes=p.classes
     )

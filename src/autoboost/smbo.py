@@ -94,16 +94,6 @@ def decode_config(point, space: ParamSpace) -> dict:
     return values
 
 
-def encode_config(values: dict, space: ParamSpace) -> np.ndarray:
-    """Inverse of decode_config (up to integer rounding)."""
-    point = np.empty(space.dim, dtype=np.float64)
-    for j, p in enumerate(space.params):
-        v = float(values[p.name])
-        raw = math.log2(v) if p.log2 else v
-        point[j] = (raw - p.lower) / (p.upper - p.lower)
-    return point
-
-
 def _seed_key(seed: int) -> int:
     return int(seed) & 0x7FFFFFFFFFFFFFFF
 
@@ -281,11 +271,6 @@ def ei_value(mu, sd, best):
     return float(ei) if ei.ndim == 0 else ei
 
 
-def expected_improvement(gp: GPSurrogate, point, best_value: float) -> float:
-    mu, sd = gp.posterior(np.atleast_2d(point))
-    return float(ei_value(mu, sd, best_value)[0])
-
-
 @dataclass
 class EvalRecord:
     point: np.ndarray
@@ -383,11 +368,13 @@ def tune(
 ) -> TuneState:
     """Run the SMBO loop: initial design, then {fit GP, propose, evaluate}.
 
-    Non-finite objective values are recorded as a penalty (worst observed
-    plus one observed range) and the loop continues; if the initial design
-    yields no finite value at all the run errors out. The wall-clock deadline
-    is checked before every evaluation except the very first, so at least one
-    configuration is always evaluated.
+    Non-finite objective values are recorded as a penalty, the worst plus
+    the range of the finite values the objective has returned so far
+    (earlier penalties never enter it), and the loop continues; failures in
+    the initial design share the penalty computed after the design. If the
+    design yields no finite value at all the run errors out. The wall-clock
+    deadline is checked before every evaluation except the very first, so
+    at least one configuration is always evaluated.
     """
     space = space if space is not None else simple_space()
     if n_init is None:
@@ -399,13 +386,17 @@ def tune(
 
     start = time.monotonic()
     state = TuneState(space=space, budget=budget, seed=seed)
+    returned: list[float] = []
     for i, pt in enumerate(initial_design(space, n_init, seed)):
         if i > 0 and time.monotonic() - start > deadline:
             break
-        _evaluate(state, objective, pt, start, penalize=False)
-    _penalize_nonfinite(state)
-    if not any(math.isfinite(r.value) for r in state.evaluated):
+        _evaluate(state, objective, pt, start, returned, penalize=False)
+    if not returned:
         raise TuneError("all initial evaluations returned non-finite values")
+    penalty = _penalty_value(returned)
+    for r in state.evaluated:
+        if not math.isfinite(r.value):
+            r.value = penalty
 
     warm = None
     while len(state.evaluated) < budget and time.monotonic() - start <= deadline:
@@ -415,14 +406,19 @@ def tune(
         if not state.gp.degenerate:
             warm = state.gp.theta
         proposal = propose_point(state)
-        _evaluate(state, objective, proposal, start, penalize=True)
+        _evaluate(state, objective, proposal, start, returned, penalize=True)
     return state
 
 
-def _evaluate(state: TuneState, objective, point: np.ndarray, start: float, penalize: bool):
+def _evaluate(
+    state: TuneState, objective, point: np.ndarray, start: float, returned: list[float], penalize: bool
+):
+    """Record one evaluation; a finite value also joins ``returned``."""
     value = float(objective(point))
-    if penalize and not math.isfinite(value):
-        value = _penalty_value([r.value for r in state.evaluated])
+    if math.isfinite(value):
+        returned.append(value)
+    elif penalize:
+        value = _penalty_value(returned)
     state.evaluated.append(EvalRecord(
         point=np.asarray(point, dtype=np.float64),
         config=decode_config(point, state.space),
@@ -431,22 +427,9 @@ def _evaluate(state: TuneState, objective, point: np.ndarray, start: float, pena
     ))
 
 
-def _penalty_value(values) -> float:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.inf
-    worst, best = max(finite), min(finite)
+def _penalty_value(returned: list[float]) -> float:
+    worst, best = max(returned), min(returned)
     return worst + (worst - best) if worst > best else worst + 1.0
-
-
-def _penalize_nonfinite(state: TuneState) -> None:
-    finite = [r.value for r in state.evaluated if math.isfinite(r.value)]
-    if not finite:
-        return
-    penalty = _penalty_value(finite)
-    for r in state.evaluated:
-        if not math.isfinite(r.value):
-            r.value = penalty
 
 
 def history_csv(evaluations) -> str:

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import mmce
+
 _POSITIVE_FLOOR = 1e-6
+# Binary linesearch: a grid of _N_STEPS cutoffs in _N_STARTS windows.
+_N_STEPS = 100
+_N_STARTS = 5
+# Multiclass annealing: iterations, visiting shape and initial temperature.
+_GSA_ITERS = 500
+_Q_V = 2.62
+_TEMP0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -69,86 +78,71 @@ def apply_thresholds(prob: np.ndarray, t) -> np.ndarray:
     return np.argmax(prob / tv, axis=1).astype(np.intp)
 
 
-def optimize_binary(
-    prob: np.ndarray,
-    truth: np.ndarray,
-    measure_fn,
-    n_starts: int = 5,
-    n_steps: int = 100,
-) -> tuple[ThresholdVector, float]:
-    """Multi-start linesearch for the binary cutoff.
+def _errors(prob: np.ndarray, truth: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Misclassification rate of the rule p >= t at each cutoff t."""
+    return ((prob[None, :] >= cutoffs[:, None]) != truth).mean(axis=1)
 
-    The (0,1) interval is covered by a grid of ``n_steps`` points split into
-    ``n_starts`` equal windows; each window's best point is refined once at
-    10x resolution. The default cutoff 0.5 is always evaluated, so the
-    returned value never exceeds the measure at 0.5. Ties go to the smallest
-    cutoff.
+
+def optimize_binary(prob: np.ndarray, truth: np.ndarray) -> tuple[ThresholdVector, float]:
+    """Multi-start linesearch for the binary cutoff that minimizes mmce.
+
+    The (0,1) interval is covered by a grid of 100 points split into 5 equal
+    windows; each window's best point is refined once at 10x resolution. The
+    default cutoff 0.5 is always evaluated, so the returned value never
+    exceeds the error at 0.5. Ties go to the smallest cutoff.
     """
     prob = np.asarray(prob, dtype=np.float64).ravel()
     truth = np.asarray(truth)
     if prob.ndim != 1 or len(prob) != len(truth) or len(prob) == 0:
         raise ValueError("need matching non-empty probability and truth vectors")
-    if n_starts < 1 or n_steps < 1:
-        raise ValueError("n_starts and n_steps must be >= 1")
     distinct = set(np.unique(truth).tolist())
     if not distinct <= {0, 1}:
         raise ValueError(f"binary truth must be 0/1 class indices, got {sorted(distinct)}")
 
-    spacing = 1.0 / (n_steps + 1)
-    grid = spacing * np.arange(1, n_steps + 1)
-    values = np.asarray([measure_fn((prob >= t).astype(np.intp), truth) for t in grid])
+    spacing = 1.0 / (_N_STEPS + 1)
+    grid = spacing * np.arange(1, _N_STEPS + 1)
+    values = _errors(prob, truth, grid)
 
-    candidates = [(0.5, float(measure_fn((prob >= 0.5).astype(np.intp), truth)))]
-    window = max(1, n_steps // n_starts)
-    for s in range(n_starts):
-        lo = s * window
-        hi = n_steps if s == n_starts - 1 else (s + 1) * window
-        if lo >= hi:
-            continue
-        local = lo + int(np.argmin(values[lo:hi]))
+    candidates = [(0.5, float(_errors(prob, truth, np.asarray([0.5]))[0]))]
+    window = _N_STEPS // _N_STARTS
+    for lo in range(0, _N_STEPS, window):
+        local = lo + int(np.argmin(values[lo : lo + window]))
         candidates.append((float(grid[local]), float(values[local])))
         fine = grid[local] + (spacing / 10.0) * np.arange(-9, 10)
-        for t in fine:
-            if 0.0 < t < 1.0:
-                candidates.append((float(t), float(measure_fn((prob >= t).astype(np.intp), truth))))
+        fine = fine[(fine > 0.0) & (fine < 1.0)]
+        candidates.extend(zip(fine.tolist(), _errors(prob, truth, fine).tolist()))
 
-    candidates.sort(key=lambda c: (c[1], c[0]))
-    best_t, best_v = candidates[0]
+    best_t, best_v = min(candidates, key=lambda c: (c[1], c[0]))
     return ThresholdVector(np.asarray([best_t])), best_v
 
 
-def _visiting_temperature(i: int, temp0: float, q_v: float) -> float:
-    return temp0 * (2.0 ** (q_v - 1.0) - 1.0) / ((1.0 + i) ** (q_v - 1.0) - 1.0)
+def _visiting_temperature(i: int) -> float:
+    return _TEMP0 * (2.0 ** (_Q_V - 1.0) - 1.0) / ((1.0 + i) ** (_Q_V - 1.0) - 1.0)
 
 
-def _tsallis_step(rng, size: int, q_v: float) -> np.ndarray:
+def _tsallis_step(rng, size: int) -> np.ndarray:
     """Heavy-tailed visiting sample via the Student-t representation.
 
     A q-Gaussian with shape q equals a Student-t with nu = (3-q)/(q-1)
     degrees of freedom, which for the customary q_v = 2.62 gives the very
     heavy tails that let the annealer make occasional long jumps.
     """
-    nu = (3.0 - q_v) / (q_v - 1.0)
+    nu = (3.0 - _Q_V) / (_Q_V - 1.0)
     normal = rng.standard_normal(size)
     chi2 = rng.chisquare(nu, size)
     return normal * np.sqrt(nu / np.maximum(chi2, 1e-300))
 
 
 def optimize_multiclass_gsa(
-    prob: np.ndarray,
-    truth: np.ndarray,
-    measure_fn,
-    iters: int = 500,
-    seed: int = 1,
-    q_v: float = 2.62,
-    temp0: float = 1.0,
+    prob: np.ndarray, truth: np.ndarray, seed: int = 1
 ) -> tuple[ThresholdVector, float]:
-    """Generalized simulated annealing over per-class threshold divisors.
+    """Generalized simulated annealing of per-class divisors that minimize mmce.
 
     State is a point on the open simplex, started at uniform (which equals
     plain argmax and is evaluated first, so the result is never worse).
-    Iteration i perturbs every coordinate with a heavy-tailed visiting step
-    scaled by T_v(i) = temp0 (2^(q_v-1)-1)/((1+i)^(q_v-1)-1), clamps the
+    Each of 500 iterations i perturbs every coordinate with a heavy-tailed
+    visiting step (shape q_v = 2.62) scaled by
+    T_v(i) = T0 (2^(q_v-1)-1)/((1+i)^(q_v-1)-1) with T0 = 1, clamps the
     proposal back onto the open simplex, and accepts worse states with
     probability exp(-delta / T_a) where T_a = T_v(i)/(i+1). Best-ever state
     and value are returned; the run is deterministic per seed.
@@ -156,23 +150,21 @@ def optimize_multiclass_gsa(
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2 or prob.shape[1] < 3:
         raise ValueError("multiclass threshold optimization needs an (n, K>=3) matrix")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     truth = np.asarray(truth)
     k = prob.shape[1]
     rng = np.random.default_rng(int(seed) & 0x7FFFFFFFFFFFFFFF)
 
     def evaluate(state: np.ndarray) -> float:
-        return float(measure_fn(np.argmax(prob / state, axis=1).astype(np.intp), truth))
+        return float(mmce(np.argmax(prob / state, axis=1), truth))
 
     current = np.full(k, 1.0 / k)
     current = current / current.sum()
     current_value = evaluate(current)
     best_state, best_value = current.copy(), current_value
 
-    for i in range(1, iters + 1):
-        t_visit = _visiting_temperature(i, temp0, q_v)
-        proposal = current + t_visit * _tsallis_step(rng, k, q_v)
+    for i in range(1, _GSA_ITERS + 1):
+        t_visit = _visiting_temperature(i)
+        proposal = current + t_visit * _tsallis_step(rng, k)
         proposal = np.maximum(proposal, _POSITIVE_FLOOR)
         proposal = proposal / proposal.sum()
         value = evaluate(proposal)

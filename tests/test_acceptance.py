@@ -246,18 +246,18 @@ def test_criterion_7_threshold_optimizers_never_worse_and_match_oracle():
             n = int(rng.integers(5, 60))
             prob = rng.uniform(size=n)
             truth = rng.integers(0, 2, size=n)
-            _, value = optimize_binary(prob, truth, mmce)
+            _, value = optimize_binary(prob, truth)
             assert value <= mmce((prob >= 0.5).astype(np.intp), truth)
         for trial in range(100):
             n = int(rng.integers(6, 40))
             p = rng.uniform(0.05, 1.0, size=(n, 3))
             p /= p.sum(axis=1, keepdims=True)
             truth = rng.integers(0, 3, size=n)
-            _, value = optimize_multiclass_gsa(p, truth, mmce, iters=60, seed=trial)
+            _, value = optimize_multiclass_gsa(p, truth, seed=trial)
             assert value <= mmce(np.argmax(p, axis=1), truth)
         for seed in range(1, 11):
             prob, truth = rare_class_case(seed)
-            tv, value = optimize_multiclass_gsa(prob, truth, mmce, seed=seed)
+            tv, value = optimize_multiclass_gsa(prob, truth, seed=seed)
             oracle = simplex_grid_oracle(prob, truth)
             assert value <= oracle + 1.0 / len(truth)
     report(7, "threshold optimizers never lose to defaults; GSA matches the simplex-grid oracle", t)

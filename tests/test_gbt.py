@@ -1,5 +1,6 @@
 """Boosting internals: losses, gains, leaf weights, exact splits, training."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -338,13 +339,15 @@ class TestTraining:
             raw = raw + _tree_outputs(group[0], X)
             p = _sigmoid(raw)
             expected = np.column_stack([1.0 - p, p])
-            np.testing.assert_array_equal(predict(model, X, upto=r), expected)
+            np.testing.assert_array_equal(
+                predict(dataclasses.replace(model, best_iteration=r), X), expected
+            )
 
     def test_predict_upto_zero_returns_base_score(self):
         ds = numeric_binary_dataset(60, seed=4)
         cfg = GBTConfig(max_rounds=5, patience=5, seed=3)
         model = fit(ds, cfg, "mmce")
-        probs = predict(model, ds.feature_matrix(), upto=0)
+        probs = predict(dataclasses.replace(model, best_iteration=0), ds.feature_matrix())
         assert np.unique(probs[:, 1]).size == 1
 
     def test_missing_value_follows_stored_default_direction(self):

@@ -20,6 +20,7 @@ import pytest
 from autoboost.data import Column, Dataset
 from autoboost.pipeline import AutoConfig, _canonical, _to_payload, autogbt_fit, autogbt_predict
 from autoboost.smbo import tune
+from autoboost.threshold import optimize_binary, optimize_multiclass_gsa
 
 CFG = AutoConfig(budget=17, deadline=600.0, max_rounds=8, patience=4, seed=5)
 
@@ -134,3 +135,49 @@ def test_golden_tuner_proposals(seed):
     assert len(state.evaluated) == 24
     points = b"".join(np.asarray(r.point, dtype="<f8").tobytes() for r in state.evaluated)
     assert sha(points) == TUNER_GOLDEN[seed]
+
+
+# The threshold optimizers alone: 200 seeded (prob, truth) cases each, half
+# with probabilities rounded to 2 decimals so cutoffs and ratios tie. The
+# digests cover the bytes of every returned cutoff or divisor vector and of
+# every value, so any change to the candidates, their order, the annealing
+# draws or a tie rule shows.
+THRESHOLD_GOLDEN = {
+    "binary": {
+        "thresholds": "4480482cbf617fbcbfc1f790c7143c525bc4216d4c50f124c774c54aebff010b",
+        "values": "fb9825d9298ef4f68400bd72e91144039e8846c0fdb177f6de7c3553de5e17e7",
+    },
+    "multiclass": {
+        "thresholds": "bba1122784432bae3d66a487b57e9a6308ba5b2336ad9256ce58eb39224d5368",
+        "values": "6f9d97f2cf58ad428ebab2371830f2c4b8fd723cfb2668aae7ac88be44c3829c",
+    },
+}
+
+
+def threshold_case(seed, multiclass):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    k = int(rng.integers(3, 6)) if multiclass else 2
+    prob = rng.dirichlet(np.ones(k), size=n)
+    if seed % 2:
+        prob = np.round(prob, 2)
+    truth = rng.integers(0, k, size=n)
+    return (prob, truth) if multiclass else (prob[:, 1], truth)
+
+
+def threshold_digests(multiclass):
+    vectors, values = [], []
+    for seed in range(200):
+        prob, truth = threshold_case(seed, multiclass)
+        if multiclass:
+            tv, value = optimize_multiclass_gsa(prob, truth, seed=seed)
+        else:
+            tv, value = optimize_binary(prob, truth)
+        vectors.append(np.asarray(tv.t, dtype="<f8").tobytes())
+        values.append(np.asarray(value, dtype="<f8").tobytes())
+    return {"thresholds": sha(b"".join(vectors)), "values": sha(b"".join(values))}
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLD_GOLDEN))
+def test_golden_threshold_optimizers(case):
+    assert threshold_digests(case == "multiclass") == THRESHOLD_GOLDEN[case]

@@ -110,7 +110,7 @@ class TestOptimizeBinary:
     def test_separable_with_margin_reaches_zero(self):
         prob = np.concatenate([np.linspace(0.05, 0.3, 20), np.linspace(0.5, 0.95, 20)])
         truth = np.asarray([0] * 20 + [1] * 20)
-        tv, value = optimize_binary(prob, truth, mmce)
+        tv, value = optimize_binary(prob, truth)
         assert value == 0.0
         assert 0.3 < tv.t[0] < 0.5
 
@@ -118,7 +118,7 @@ class TestOptimizeBinary:
         rng = np.random.default_rng(2)
         prob = rng.uniform(0.2, 0.9, size=30)
         truth = np.ones(30, dtype=np.intp)
-        tv, value = optimize_binary(prob, truth, mmce)
+        tv, value = optimize_binary(prob, truth)
         assert value == 0.0
         assert tv.t[0] <= prob.min()
 
@@ -128,26 +128,26 @@ class TestOptimizeBinary:
             n = int(rng.integers(5, 60))
             prob = rng.uniform(size=n)
             truth = rng.integers(0, 2, size=n)
-            _, value = optimize_binary(prob, truth, mmce)
+            _, value = optimize_binary(prob, truth)
             default = mmce((prob >= 0.5).astype(np.intp), truth)
             assert value <= default
 
     def test_already_optimal_at_default(self):
         prob = np.asarray([0.1, 0.2, 0.8, 0.9])
         truth = np.asarray([0, 0, 1, 1])
-        _, value = optimize_binary(prob, truth, mmce)
+        _, value = optimize_binary(prob, truth)
         assert value == mmce((prob >= 0.5).astype(np.intp), truth) == 0.0
 
     def test_non_binary_truth_errors(self):
         with pytest.raises(ValueError, match="0/1"):
-            optimize_binary(np.asarray([0.2, 0.5]), np.asarray([0, 2]), mmce)
+            optimize_binary(np.asarray([0.2, 0.5]), np.asarray([0, 2]))
 
 
 class TestOptimizeMulticlassGsa:
     def test_deterministic_per_seed(self):
         prob, truth = rare_class_case(5)
-        a = optimize_multiclass_gsa(prob, truth, mmce, seed=42)
-        b = optimize_multiclass_gsa(prob, truth, mmce, seed=42)
+        a = optimize_multiclass_gsa(prob, truth, seed=42)
+        b = optimize_multiclass_gsa(prob, truth, seed=42)
         np.testing.assert_array_equal(a[0].t, b[0].t)
         assert a[1] == b[1]
 
@@ -158,13 +158,13 @@ class TestOptimizeMulticlassGsa:
             [0.1, 0.1, 0.8],
         ])
         truth = np.asarray([0, 1, 2])
-        _, value = optimize_multiclass_gsa(prob, truth, mmce, seed=1)
+        _, value = optimize_multiclass_gsa(prob, truth, seed=1)
         assert value == 0.0
 
     def test_rare_class_beats_argmax_and_matches_grid_oracle(self):
         prob, truth = rare_class_case(7)
         argmax_value = mmce(np.argmax(prob, axis=1), truth)
-        tv, value = optimize_multiclass_gsa(prob, truth, mmce, seed=3)
+        tv, value = optimize_multiclass_gsa(prob, truth, seed=3)
         assert value < argmax_value
         oracle = simplex_grid_oracle(prob, truth)
         assert value <= oracle + 1.0 / len(truth)
@@ -175,15 +175,10 @@ class TestOptimizeMulticlassGsa:
             n = int(rng.integers(6, 40))
             prob = random_stochastic(rng, n, 3)
             truth = rng.integers(0, 3, size=n)
-            _, value = optimize_multiclass_gsa(prob, truth, mmce, iters=60, seed=trial)
+            _, value = optimize_multiclass_gsa(prob, truth, seed=trial)
             uniform = mmce(np.argmax(prob, axis=1), truth)
             assert value <= uniform
 
     def test_requires_three_classes(self):
         with pytest.raises(ValueError, match="K>=3"):
-            optimize_multiclass_gsa(np.asarray([[0.4, 0.6]]), np.asarray([0]), mmce)
-
-    def test_requires_positive_iters(self):
-        prob = random_stochastic(np.random.default_rng(0), 6, 3)
-        with pytest.raises(ValueError, match="iters"):
-            optimize_multiclass_gsa(prob, np.zeros(6, dtype=int), mmce, iters=0)
+            optimize_multiclass_gsa(np.asarray([[0.4, 0.6]]), np.asarray([0]))
