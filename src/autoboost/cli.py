@@ -38,7 +38,7 @@ def bootstrap_minima(run_values, B: int, size: int, seed: int, agg: str = "min")
         raise ValueError("B and size must be >= 1")
     if agg not in ("min", "mean"):
         raise ValueError(f"unknown aggregation {agg!r}")
-    rng = np.random.default_rng(int(seed) & 0x7FFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(values), size=(B, size))
     samples = values[idx]
     return samples.min(axis=1) if agg == "min" else samples.mean(axis=1)
@@ -73,11 +73,6 @@ class DatasetReport:
 @dataclass
 class BenchmarkReport:
     datasets: list[DatasetReport]
-    repetitions: int
-    bootstrap_samples: int
-    sample_size: int
-    seed: int
-    agg: str
 
     def to_tsv(self) -> str:
         lines = ["name\tmeasure\tbaseline\taggregated\truns\terror"]
@@ -161,14 +156,7 @@ def run_benchmark(
             report.aggregated = bootstrap_aggregate(report.run_values, B, size, seed, agg)
         except (DataError, ValueError, OSError, TuneError) as exc:
             report.error = str(exc)
-    return BenchmarkReport(
-        datasets=reports,
-        repetitions=repetitions,
-        bootstrap_samples=B,
-        sample_size=size,
-        seed=seed,
-        agg=agg,
-    )
+    return BenchmarkReport(reports)
 
 
 def read_benchmark_spec(path: str | Path) -> list[BenchmarkTask]:
@@ -309,11 +297,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # The tuner's initial design needs two points, and boosting one round.
-        if args.command != "predict" and args.budget < 2:
-            parser.error(f"argument --budget: expected an integer >= 2, got {args.budget}")
-        if args.command != "predict" and args.max_rounds < 1:
-            parser.error(f"argument --max-rounds: expected an integer >= 1, got {args.max_rounds}")
+        # The tuner's initial design needs two points, boosting one round and
+        # the bootstrap one resample of one run; seeds go to default_rng as
+        # they are, so they must be non-negative.
+        minimums = {"budget": 2, "max_rounds": 1, "reps": 1, "bootstrap": 1, "size": 1, "seed": 0}
+        for dest, low in minimums.items():
+            value = getattr(args, dest, low)
+            if value < low:
+                flag = "--" + dest.replace("_", "-")
+                parser.error(f"argument {flag}: expected an integer >= {low}, got {value}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,7 +25,7 @@ from . import gbt
 from .data import DataError, Dataset, split_holdout
 from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
 from .metrics import Measure, default_measure, get_measure, logloss, rmse
-from .smbo import decode_config, simple_space, tune
+from .smbo import decode_config, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
 FORMAT_NAME = "autoboost-pipeline"
@@ -141,11 +141,10 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         y_train = np.asarray(train_enc.target_values(), dtype=np.float64)
         y_valid = np.asarray(valid_enc.target_values(), dtype=np.float64)
 
-    space = simple_space()
     incumbent: dict = {"value": math.inf}
 
     def objective(point: np.ndarray) -> float:
-        params = decode_config(point, space)
+        params = decode_config(point)
         gcfg = _gbt_config(params, cfg)
         model = gbt.train(x_train, y_train, x_valid, y_valid, task, n_classes, gcfg, measure)
         preds = gbt.predict(model, x_valid)
@@ -163,11 +162,9 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
             incumbent.update(value=value, model=model, thresholds=thresholds)
         return value
 
-    state = tune(
-        objective, space, budget=cfg.budget, deadline=cfg.deadline, seed=cfg.seed
-    )
-    if "model" not in incumbent:
-        raise DataError("no tuning evaluation completed successfully")
+    # tune raises TuneError unless some evaluation returned a finite value,
+    # so the incumbent always holds a model here.
+    state = tune(objective, budget=cfg.budget, deadline=cfg.deadline, seed=cfg.seed)
 
     history = {
         "evaluations": [

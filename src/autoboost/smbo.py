@@ -1,4 +1,4 @@
-"""Sequential model-based optimization over the numeric hyperparameter space.
+"""Sequential model-based optimization over the fixed hyperparameter space.
 
 The tuner works on the unit cube: a Latin hypercube warm start, a zero-mean
 Gaussian process surrogate with an anisotropic Matern-5/2 kernel on
@@ -37,75 +37,50 @@ class Param:
     name: str
     lower: float
     upper: float
-    kind: str = "real"  # "real" | "integer"
+    integer: bool = False
     log2: bool = False
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"{self.name}: lower must be < upper")
-        if self.kind not in ("real", "integer"):
-            raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class ParamSpace:
-    params: tuple[Param, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.params)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-
-def simple_space() -> ParamSpace:
-    """The default fully numeric 8-parameter tuning space."""
-    return ParamSpace((
-        Param("eta", 0.01, 0.2),
-        Param("gamma", -7.0, 6.0, log2=True),
-        Param("max_depth", 3.0, 20.0, kind="integer"),
-        Param("colsample_bytree", 0.5, 1.0),
-        Param("colsample_bylevel", 0.5, 1.0),
-        Param("lambda", -10.0, 10.0, log2=True),
-        Param("alpha", -10.0, 10.0, log2=True),
-        Param("subsample", 0.5, 1.0),
-    ))
+# The fixed 8-parameter search space, in unit-cube coordinate order.
+SPACE = (
+    Param("eta", 0.01, 0.2),
+    Param("gamma", -7.0, 6.0, log2=True),
+    Param("max_depth", 3.0, 20.0, integer=True),
+    Param("colsample_bytree", 0.5, 1.0),
+    Param("colsample_bylevel", 0.5, 1.0),
+    Param("lambda", -10.0, 10.0, log2=True),
+    Param("alpha", -10.0, 10.0, log2=True),
+    Param("subsample", 0.5, 1.0),
+)
 
 
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
 
 
-def decode_config(point, space: ParamSpace) -> dict:
+def decode_config(point) -> dict:
     """Map a unit-cube point to raw parameter values."""
     point = np.asarray(point, dtype=np.float64)
-    if point.shape != (space.dim,):
-        raise ValueError(f"point must have length {space.dim}")
+    if point.shape != (len(SPACE),):
+        raise ValueError(f"point must have length {len(SPACE)}")
     if np.any(point < 0.0) or np.any(point > 1.0):
         raise ValueError("point coordinates must lie in [0,1]")
     values = {}
-    for u, p in zip(point, space.params):
+    for u, p in zip(point, SPACE):
         # Convex form is exact at the corners, unlike lower + u*(upper-lower).
         raw = p.lower * (1.0 - u) + p.upper * u
         value = 2.0**raw if p.log2 else raw
-        values[p.name] = _round_half_away(value) if p.kind == "integer" else float(value)
+        values[p.name] = _round_half_away(value) if p.integer else float(value)
     return values
 
 
-def _seed_key(seed: int) -> int:
-    return int(seed) & 0x7FFFFFFFFFFFFFFF
-
-
-def initial_design(space: ParamSpace, n_init: int, seed: int) -> np.ndarray:
+def initial_design(n_init: int, seed: int) -> np.ndarray:
     """Latin hypercube: per dimension, one point in each of n_init strata."""
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
-    rng = np.random.default_rng(_seed_key(seed))
-    d = space.dim
-    pts = np.empty((n_init, d), dtype=np.float64)
-    for j in range(d):
+    rng = np.random.default_rng(seed)
+    pts = np.empty((n_init, len(SPACE)), dtype=np.float64)
+    for j in range(len(SPACE)):
         strata = rng.permutation(n_init)
         pts[:, j] = (strata + rng.uniform(size=n_init)) / n_init
     return pts
@@ -120,8 +95,9 @@ def _matern52(t: np.ndarray) -> np.ndarray:
     return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
-def _kernel_parts(X: np.ndarray, ell: np.ndarray):
-    diff = (X[:, None, :] - X[None, :, :]) / ell
+def _kernel_parts(A: np.ndarray, B: np.ndarray, ell: np.ndarray):
+    """Squared scaled differences S and t = sqrt(5) * scaled distance, A against B."""
+    diff = (A[:, None, :] - B[None, :, :]) / ell
     S = diff * diff
     T = _SQRT5 * np.sqrt(S.sum(axis=-1))
     return S, T
@@ -132,7 +108,7 @@ def _nll_and_grad(theta: np.ndarray, X: np.ndarray, z: np.ndarray, noise: float)
     n, d = X.shape
     ell = np.exp(theta[:d])
     sf2 = np.exp(theta[d])
-    S, T = _kernel_parts(X, ell)
+    S, T = _kernel_parts(X, X, ell)
     E = np.exp(-T)
     M = (1.0 + T + T * T / 3.0) * E
     K = sf2 * M
@@ -158,7 +134,6 @@ class GPSurrogate:
     """Fitted zero-mean GP on standardized objective values."""
 
     X: np.ndarray
-    y: np.ndarray
     y_mean: float
     y_std: float
     length_scales: np.ndarray
@@ -177,8 +152,7 @@ class GPSurrogate:
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if self.degenerate:
             return np.full(len(P), self.y_mean), np.zeros(len(P))
-        diff = (P[:, None, :] - self.X[None, :, :]) / self.length_scales
-        t = _SQRT5 * np.sqrt((diff * diff).sum(axis=-1))
+        _, t = _kernel_parts(P, self.X, self.length_scales)
         Ks = self.signal_var * _matern52(t)
         mu = self.y_mean + self.y_std * (Ks @ self._alpha)
         V = solve_triangular(self._chol, Ks.T, lower=True)
@@ -209,7 +183,7 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
     y_mean = float(np.mean(y))
     y_std = float(np.std(y))
     if y_std < _SD_FLOOR:
-        return GPSurrogate(X, y, y_mean, 1.0, np.ones(d), 1.0, _NUGGET_FLOOR, degenerate=True)
+        return GPSurrogate(X, y_mean, 1.0, np.ones(d), 1.0, _NUGGET_FLOOR, degenerate=True)
     z = (y - y_mean) / y_std
 
     bounds = [(math.log(0.05), math.log(3.0))] * d + [(math.log(1e-3), math.log(1e3))]
@@ -217,12 +191,13 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
     if warm_start is not None:
         starts.append(np.asarray(warm_start, dtype=np.float64))
     starts.append(np.concatenate([np.full(d, math.log(0.5)), [0.0]]))
-    rng = np.random.default_rng(_seed_key(seed))
+    rng = np.random.default_rng(seed)
     starts.append(np.concatenate([
         rng.uniform(math.log(0.1), math.log(1.0), size=d),
         [rng.uniform(math.log(0.25), math.log(4.0))],
     ]))
 
+    # _nll_and_grad returns 1e25 or a finite value, so the first start sets best_theta.
     best_theta, best_nll = None, np.inf
     for theta0 in starts:
         res = minimize(
@@ -232,12 +207,10 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
         )
         if res.fun < best_nll:
             best_nll, best_theta = res.fun, res.x
-    if best_theta is None:
-        best_theta = starts[-1]
 
     ell = np.exp(best_theta[:d])
     sf2 = float(np.exp(best_theta[d]))
-    _, T = _kernel_parts(X, ell)
+    _, T = _kernel_parts(X, X, ell)
     M = _matern52(T)
     noise = _NUGGET_FLOOR
     while True:
@@ -251,7 +224,7 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
             if noise > _NUGGET_CAP:
                 raise TuneError("kernel matrix singular even at maximum nugget") from None
     alpha = cho_solve((L, True), z)
-    return GPSurrogate(X, y, y_mean, y_std, ell, sf2, noise, _chol=L, _alpha=alpha)
+    return GPSurrogate(X, y_mean, y_std, ell, sf2, noise, _chol=L, _alpha=alpha)
 
 
 def ei_value(mu, sd, best):
@@ -283,7 +256,6 @@ class EvalRecord:
 class TuneState:
     """History and surrogate of one optimization run."""
 
-    space: ParamSpace
     budget: int
     seed: int
     evaluated: list[EvalRecord] = field(default_factory=list)
@@ -309,8 +281,8 @@ def propose_point(state: TuneState) -> np.ndarray:
     """
     if len(state.evaluated) >= state.budget:
         raise TuneError("budget exhausted, cannot propose another point")
-    d = state.space.dim
-    rng = np.random.default_rng([_seed_key(state.seed), len(state.evaluated)])
+    d = len(SPACE)
+    rng = np.random.default_rng([state.seed, len(state.evaluated)])
     points = np.asarray([r.point for r in state.evaluated]) if state.evaluated else np.empty((0, d))
     gp = state.gp
     if gp is None or gp.degenerate:
@@ -360,7 +332,6 @@ def _dedup(pt: np.ndarray, evaluated: np.ndarray, rng) -> np.ndarray:
 
 def tune(
     objective,
-    space: ParamSpace | None = None,
     budget: int = 160,
     deadline: float = 3600.0,
     n_init: int | None = None,
@@ -376,18 +347,17 @@ def tune(
     deadline is checked before every evaluation except the very first, so
     at least one configuration is always evaluated.
     """
-    space = space if space is not None else simple_space()
     if n_init is None:
-        n_init = min(2 * space.dim, budget)
+        n_init = min(2 * len(SPACE), budget)
     if n_init < 2:
         raise TuneError(f"n_init must be >= 2, got {n_init}")
     if budget < n_init:
         raise TuneError(f"budget ({budget}) must be >= n_init ({n_init})")
 
     start = time.monotonic()
-    state = TuneState(space=space, budget=budget, seed=seed)
+    state = TuneState(budget=budget, seed=seed)
     returned: list[float] = []
-    for i, pt in enumerate(initial_design(space, n_init, seed)):
+    for i, pt in enumerate(initial_design(n_init, seed)):
         if i > 0 and time.monotonic() - start > deadline:
             break
         _evaluate(state, objective, pt, start, returned, penalize=False)
@@ -421,7 +391,7 @@ def _evaluate(
         value = _penalty_value(returned)
     state.evaluated.append(EvalRecord(
         point=np.asarray(point, dtype=np.float64),
-        config=decode_config(point, state.space),
+        config=decode_config(point),
         value=value,
         elapsed=time.monotonic() - start,
     ))
@@ -436,10 +406,10 @@ def history_csv(evaluations) -> str:
     """Tuning history as CSV: iteration, raw parameters, objective, seconds.
 
     ``evaluations`` are mappings with the decoded ``config`` over the
-    ``simple_space`` parameters, the objective ``value`` and the cumulative
+    ``SPACE`` parameters, the objective ``value`` and the cumulative
     ``elapsed`` seconds, as in a fitted pipeline's ``history["evaluations"]``.
     """
-    names = simple_space().names
+    names = [p.name for p in SPACE]
     lines = [",".join(["iteration", *names, "objective", "seconds"])]
     for i, rec in enumerate(evaluations, start=1):
         row = [str(i)]

@@ -145,14 +145,14 @@ def optimize_multiclass_gsa(
     T_v(i) = T0 (2^(q_v-1)-1)/((1+i)^(q_v-1)-1) with T0 = 1, clamps the
     proposal back onto the open simplex, and accepts worse states with
     probability exp(-delta / T_a) where T_a = T_v(i)/(i+1). Best-ever state
-    and value are returned; the run is deterministic per seed.
+    and value are returned; the run is deterministic per (non-negative) seed.
     """
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2 or prob.shape[1] < 3:
         raise ValueError("multiclass threshold optimization needs an (n, K>=3) matrix")
     truth = np.asarray(truth)
     k = prob.shape[1]
-    rng = np.random.default_rng(int(seed) & 0x7FFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(seed)
 
     def evaluate(state: np.ndarray) -> float:
         return float(mmce(np.argmax(prob / state, axis=1), truth))

@@ -25,7 +25,7 @@ from autoboost.pipeline import (
     load,
     save,
 )
-from autoboost.smbo import decode_config, ei_value, gp_fit, simple_space, tune
+from autoboost.smbo import decode_config, ei_value, gp_fit, tune
 from autoboost.threshold import optimize_binary, optimize_multiclass_gsa
 
 from conftest import binary_margin_dataset
@@ -222,9 +222,8 @@ def test_criterion_5_smbo_beats_random_search_on_sphere():
 
 def test_criterion_6_decode_reproduces_table_bounds():
     with Timer(1.0) as t:
-        space = simple_space()
-        lo = decode_config(np.zeros(8), space)
-        hi = decode_config(np.ones(8), space)
+        lo = decode_config(np.zeros(8))
+        hi = decode_config(np.ones(8))
         assert lo["gamma"] == 2.0**-7 and hi["gamma"] == 2.0**6
         assert lo["lambda"] == 2.0**-10 and hi["lambda"] == 2.0**10
         assert lo["alpha"] == 2.0**-10 and hi["alpha"] == 2.0**10
@@ -234,7 +233,7 @@ def test_criterion_6_decode_reproduces_table_bounds():
         assert lo["colsample_bylevel"] == 0.5 and hi["colsample_bylevel"] == 1.0
         assert lo["subsample"] == 0.5 and hi["subsample"] == 1.0
         for bits in itertools.product((0.0, 1.0), repeat=8):
-            values = decode_config(np.asarray(bits), space)
+            values = decode_config(np.asarray(bits))
             assert values["max_depth"] in range(3, 21)
     report(6, "decode_config reproduces the tuning-space bounds exactly at the corners", t)
 

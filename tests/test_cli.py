@@ -235,7 +235,7 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "flag,value",
         [("--budget", "1"), ("--budget", "0"), ("--budget", "-3"),
-         ("--max-rounds", "0"), ("--max-rounds", "-1")],
+         ("--max-rounds", "0"), ("--max-rounds", "-1"), ("--seed", "-1")],
     )
     @pytest.mark.parametrize("command", ["fit", "benchmark"])
     def test_out_of_range_counts_are_usage_errors(self, command, flag, value, tmp_path, capsys):
@@ -246,6 +246,24 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main([command, *required, flag, value, "--out", str(out)]) == 1
         assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--reps", "0"), ("--bootstrap", "0"), ("--bootstrap", "-2"), ("--size", "0")],
+    )
+    def test_out_of_range_benchmark_counts_are_usage_errors(self, flag, value, csv_pair, tmp_path, capsys):
+        base, train, test = csv_pair
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            f"toy\t{train}\t{test}\tlabel\tmmce\n"
+        )
+        out = tmp_path / "report.tsv"
+        code = main(["benchmark", "--spec", str(spec), flag, value, "--budget", "4", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1, got {value}" in err
         assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):

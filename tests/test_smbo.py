@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from autoboost.smbo import (
+    SPACE,
     TuneError,
     _dedup,
     _nll_and_grad,
@@ -16,22 +17,19 @@ from autoboost.smbo import (
     history_csv,
     initial_design,
     propose_point,
-    simple_space,
     tune,
 )
-
-SPACE = simple_space()
 
 
 class TestDecode:
     def test_log2_lower_corner(self):
-        values = decode_config(np.zeros(8), SPACE)
+        values = decode_config(np.zeros(8))
         assert values["gamma"] == 2.0**-7
         assert values["lambda"] == 2.0**-10
         assert values["alpha"] == 2.0**-10
 
     def test_plain_upper_corner(self):
-        values = decode_config(np.ones(8), SPACE)
+        values = decode_config(np.ones(8))
         assert values["eta"] == 0.2
         assert values["gamma"] == 2.0**6
         assert values["max_depth"] == 20
@@ -39,34 +37,39 @@ class TestDecode:
     def test_integer_rounds_half_away_from_zero(self):
         point = np.zeros(8)
         point[2] = 0.5  # raw 11.5
-        assert decode_config(point, SPACE)["max_depth"] == 12
+        assert decode_config(point)["max_depth"] == 12
 
     def test_out_of_cube_errors(self):
         bad = np.zeros(8)
         bad[0] = 1.5
         with pytest.raises(ValueError, match="lie in"):
-            decode_config(bad, SPACE)
+            decode_config(bad)
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_wrong_length_errors(self, length):
+        with pytest.raises(ValueError, match="point must have length 8"):
+            decode_config(np.zeros(length))
 
 
 class TestInitialDesign:
     def test_latin_hypercube_strata(self):
-        pts = initial_design(SPACE, 4, seed=3)
+        pts = initial_design(4, seed=3)
         assert pts.shape == (4, 8)
         for j in range(8):
             strata = np.floor(pts[:, j] * 4).astype(int)
             assert sorted(strata.tolist()) == [0, 1, 2, 3]
 
     def test_single_point_inside_cube(self):
-        pts = initial_design(SPACE, 1, seed=5)
+        pts = initial_design(1, seed=5)
         assert np.all((pts > 0.0) & (pts < 1.0))
 
     def test_different_seeds_differ(self):
-        a = initial_design(SPACE, 6, seed=1)
-        b = initial_design(SPACE, 6, seed=2)
+        a = initial_design(6, seed=1)
+        b = initial_design(6, seed=2)
         assert not np.array_equal(a, b)
 
     def test_same_seed_identical(self):
-        np.testing.assert_array_equal(initial_design(SPACE, 6, seed=9), initial_design(SPACE, 6, seed=9))
+        np.testing.assert_array_equal(initial_design(6, seed=9), initial_design(6, seed=9))
 
 
 class TestGP:
@@ -182,7 +185,7 @@ class TestProposeAndTune:
         state = tune(obj, budget=6, n_init=6, seed=2)
         assert len(calls) == 6
         assert len(state.evaluated) == 6
-        design = initial_design(state.space, 6, seed=2)
+        design = initial_design(6, seed=2)
         np.testing.assert_array_equal(np.asarray(calls), design)
         assert state.incumbent.value == min(sphere(p) for p in design)
 
@@ -275,7 +278,7 @@ class TestProposeAndTune:
     def test_decoded_configs_stay_inside_tuned_ranges(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
-            values = decode_config(rng.uniform(size=8), SPACE)
+            values = decode_config(rng.uniform(size=8))
             assert 0.01 <= values["eta"] <= 0.2
             assert 2.0**-7 <= values["gamma"] <= 2.0**6
             assert values["max_depth"] in range(3, 21)
@@ -298,7 +301,7 @@ class TestProposeAndTune:
         state = tune(sphere, budget=5, n_init=5, seed=1)
         text = history_csv([vars(rec) for rec in state.evaluated])
         lines = text.strip().split("\n")
-        assert lines[0] == "iteration," + ",".join(SPACE.names) + ",objective,seconds"
+        assert lines[0] == "iteration," + ",".join(p.name for p in SPACE) + ",objective,seconds"
         assert len(lines) == 6
         first = lines[1].split(",")
         assert first[0] == "1"
