@@ -194,7 +194,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="autoboost", description="Automatic gradient boosting")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--time-limit", type=float, default=3600.0)
     bench.add_argument("--max-rounds", type=int, default=1000)
     bench.add_argument("--out", required=True)
-    return parser
+    return parser, sub.choices
 
 
 def _na_tokens(args) -> tuple[str, ...]:
@@ -294,7 +295,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         # The tuner's initial design needs two points, boosting one round and
@@ -305,7 +306,10 @@ def main(argv=None) -> int:
             value = getattr(args, dest, low)
             if value < low:
                 flag = "--" + dest.replace("_", "-")
-                parser.error(f"argument {flag}: expected an integer >= {low}, got {value}")
+                # The given subcommand's parser, so the usage line is that command's.
+                commands[args.command].error(
+                    f"argument {flag}: expected an integer >= {low}, got {value}"
+                )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,5 @@
-"""Tabular dataset container, CSV ingestion, holdout splitting, majority baseline.
+"""Tabular dataset container, CSV ingestion, label and level codes, holdout
+splitting, majority baseline.
 
 Raw data is kept as-is: no scaling, numeric missing values stay NaN (the
 booster routes them through learned default directions), and missing
@@ -27,6 +28,17 @@ class DataError(ValueError):
 
 class SchemaError(DataError):
     """Column names or kinds do not match the expected schema."""
+
+
+def level_codes(values, levels) -> np.ndarray:
+    """Each value's index in ``levels`` as an intp array, ``len(levels)`` if absent.
+
+    This is the one map from labels and categorical levels to indices: class
+    indices, the stratified holdout, the encoders and the baseline all use it.
+    """
+    index = {level: i for i, level in enumerate(levels)}
+    absent = len(levels)
+    return np.fromiter((index.get(v, absent) for v in values), dtype=np.intp, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,12 @@ class Dataset:
         label means the same index in each. A label not in ``classes``
         raises DataError.
         """
-        lookup = {label: i for i, label in enumerate(classes)}
-        try:
-            return np.asarray([lookup[v] for v in self.target_values()], dtype=np.intp)
-        except KeyError as exc:
-            raise DataError(f"label {exc.args[0]!r} not present in training data") from None
+        y = self.target_values()
+        codes = level_codes(y, classes)
+        unknown = np.flatnonzero(codes == len(classes))
+        if unknown.size:
+            raise DataError(f"label {y[unknown[0]]!r} not present in training data")
+        return codes
 
 
 @dataclass(frozen=True)
@@ -304,10 +317,10 @@ def split_holdout(
     if stratify:
         if d.task not in ("binary", "multiclass"):
             raise DataError("stratified splitting requires a classification task")
-        y = d.target_values()
         classes = d.classes
-        counts = {c: int(np.sum(y == c)) for c in classes}
-        thin = [c for c in classes if counts[c] < 2]
+        y = d.class_indices(classes)
+        counts = np.bincount(y, minlength=len(classes)).tolist()
+        thin = [c for c, count in zip(classes, counts) if count < 2]
         if thin:
             raise DataError(f"class {thin[0]!r} has fewer than 2 rows, cannot stratify")
         if n_valid > n - len(classes):
@@ -315,20 +328,21 @@ def split_holdout(
                 f"a {n_valid}-row holdout leaves no training row for some of the "
                 f"{len(classes)} classes in {n} rows"
             )
-        quotas = {c: n_valid * counts[c] / n for c in classes}
-        alloc = {c: int(math.floor(quotas[c])) for c in classes}
-        shortfall = n_valid - sum(alloc.values())
-        by_remainder = sorted(classes, key=lambda c: (-(quotas[c] - alloc[c]), c))
+        # Lists indexed by class; classes are sorted, so index order is label order.
+        quotas = [n_valid * count / n for count in counts]
+        alloc = [math.floor(q) for q in quotas]
+        shortfall = n_valid - sum(alloc)
+        by_remainder = sorted(range(len(classes)), key=lambda i: (-(quotas[i] - alloc[i]), i))
         while shortfall:
-            for c in by_remainder:
-                if shortfall and alloc[c] < counts[c] - 1:
-                    alloc[c] += 1
+            for i in by_remainder:
+                if shortfall and alloc[i] < counts[i] - 1:
+                    alloc[i] += 1
                     shortfall -= 1
-        valid_idx = []
-        for c in classes:
-            members = np.flatnonzero(y == c)
-            if alloc[c] > 0:
-                valid_idx.append(rng.choice(members, size=alloc[c], replace=False))
+        valid_idx = [
+            rng.choice(np.flatnonzero(y == i), size=a, replace=False)
+            for i, a in enumerate(alloc)
+            if a > 0
+        ]
         valid_rows = np.sort(np.concatenate(valid_idx)) if valid_idx else np.empty(0, np.intp)
     else:
         valid_rows = np.sort(rng.choice(n, size=n_valid, replace=False))
@@ -347,8 +361,6 @@ def majority_baseline(train: Dataset, test: Dataset) -> float:
     """
     if train.task not in ("binary", "multiclass"):
         raise DataError("majority baseline is defined for classification tasks only")
-    y_train = train.target_values()
-    labels, counts = np.unique(y_train.astype(str), return_counts=True)
-    predicted = labels[int(np.argmax(counts))]
-    y_test = test.target_values().astype(str)
-    return float(np.mean(y_test != predicted))
+    classes = train.classes
+    predicted = int(np.argmax(np.bincount(train.class_indices(classes))))
+    return float(np.mean(level_codes(test.target_values(), classes) != predicted))

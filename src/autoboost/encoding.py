@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Column, DataError, Dataset, SchemaError
+from .data import Column, DataError, Dataset, SchemaError, level_codes
 
 STRATEGIES = ("integer", "impact")
 
@@ -36,11 +36,6 @@ class ColumnEncoder:
     levels: tuple[str, ...]
     table: np.ndarray
     output_names: tuple[str, ...]
-
-    def encode_values(self, values: np.ndarray) -> np.ndarray:
-        row_of = {level: i for i, level in enumerate(self.levels)}
-        unseen = len(self.levels)
-        return self.table[[row_of.get(v, unseen) for v in values]]
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,6 @@ def fit_encoders(
     if m < 0:
         raise DataError(f"smoothing m must be >= 0, got {m}")
 
-    needs_target = high_card_strategy == "impact" and any(
-        c.kind == "categorical" and len(c.levels) >= k for c in train.feature_columns
-    )
-    if needs_target and train.target is None:
-        raise DataError("impact encoding requires a dataset with a target")
-
-    classes = train.classes if train.task in ("binary", "multiclass") else None
     encoders = []
     for col in train.feature_columns:
         if col.kind == "numeric":
@@ -94,7 +82,7 @@ def fit_encoders(
         elif high_card_strategy == "integer":
             encoders.append(_fit_integer(col))
         else:
-            encoders.append(_fit_impact(col, train, classes, m))
+            encoders.append(_fit_impact(col, train, m))
     return EncoderModel(tuple(encoders))
 
 
@@ -115,31 +103,26 @@ def _fit_dummy(col: Column) -> ColumnEncoder:
     return ColumnEncoder(col.name, "dummy", levels, table, names)
 
 
-def _fit_impact(
-    col: Column, train: Dataset, classes: tuple[str, ...] | None, m: float
-) -> ColumnEncoder:
+def _fit_impact(col: Column, train: Dataset, m: float) -> ColumnEncoder:
+    if train.target is None:
+        raise DataError("impact encoding requires a dataset with a target")
     levels = col.levels
-    values = col.values
-    if classes is not None:
-        y = train.target_values()
-        n = len(y)
-        prior = np.asarray([np.sum(y == c) / n for c in classes], dtype=np.float64)
-        rows = []
-        for level in levels:
-            member = values == level
-            n_a = int(np.sum(member))
-            counts = np.asarray([np.sum(y[member] == c) for c in classes], dtype=np.float64)
-            rows.append((counts + m * prior) / (n_a + m))
+    x = level_codes(col.values, levels)
+    n_a = np.bincount(x, minlength=len(levels))
+    if train.task in ("binary", "multiclass"):
+        classes = train.classes
+        k = len(classes)
+        y = train.class_indices(classes)
+        counts = np.bincount(x * k + y, minlength=len(levels) * k).reshape(-1, k)
+        prior = np.bincount(y, minlength=k) / len(y)
+        table = (counts + m * prior) / (n_a[:, None] + m)
         names = tuple(f"{col.name}~{c}" for c in classes)
-        return ColumnEncoder(col.name, "impact", levels, np.vstack([*rows, prior]), names)
+        return ColumnEncoder(col.name, "impact", levels, np.vstack([table, prior]), names)
 
+    # One sum per level: a weighted bincount would add in another order.
     y = np.asarray(train.target_values(), dtype=np.float64)
     ybar = float(np.mean(y))
-    rows = []
-    for level in levels:
-        member = values == level
-        n_a = int(np.sum(member))
-        rows.append((np.sum(y[member]) + m * ybar) / (n_a + m))
+    rows = [(np.sum(y[x == i]) + m * ybar) / (n_a[i] + m) for i in range(len(levels))]
     table = np.asarray([*rows, ybar], dtype=np.float64)[:, None]
     return ColumnEncoder(col.name, "impact", levels, table, (col.name,))
 
@@ -165,7 +148,7 @@ def transform(enc: EncoderModel, d: Dataset) -> Dataset:
         if ce.strategy == "passthrough":
             out_columns.append(col)
             continue
-        encoded = ce.encode_values(col.values)
+        encoded = ce.table[level_codes(col.values, ce.levels)]
         for j, out_name in enumerate(ce.output_names):
             out_columns.append(Column(out_name, "numeric", encoded[:, j]))
     if d.target is not None:

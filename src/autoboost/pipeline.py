@@ -128,8 +128,8 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     valid_enc = transform(enc, split.valid)
     x_train = train_enc.feature_matrix()
     x_valid = valid_enc.feature_matrix()
-    # The one place labels become indices: both splits map through the
-    # training classes, so a class missing from the holdout shifts nothing.
+    # Both splits map through the training classes, so a class missing from
+    # the holdout shifts nothing.
     if classification:
         classes = train_enc.classes
         n_classes = len(classes)

@@ -245,7 +245,9 @@ class TestCliCommands:
         }[command]
         out = tmp_path / "out"
         assert main([command, *required, flag, value, "--out", str(out)]) == 1
-        assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: autoboost {command} ")
+        assert f"argument {flag}: expected an integer" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -263,6 +265,7 @@ class TestCliCommands:
         code = main(["benchmark", "--spec", str(spec), flag, value, "--budget", "4", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
+        assert err.startswith("usage: autoboost benchmark ")
         assert f"argument {flag}: expected an integer >= 1, got {value}" in err
         assert not out.exists()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from autoboost.data import Column, DataError, Dataset, SchemaError
+from autoboost.data import Column, DataError, Dataset, SchemaError, level_codes
 from autoboost.encoding import fit_encoders, transform
 
 
@@ -39,6 +39,35 @@ def group_by_oracle_regression(cat, y, m):
         total = sum(y[i] for i in rows)
         table[level] = (total + m * ybar) / (len(rows) + m)
     return table, ybar
+
+
+def impact_reference(values, y, levels, classes, m):
+    """The impact table computed one level and one class at a time.
+
+    Same arithmetic as the encoder: float class counts plus m times the prior,
+    over the level's row count plus m, with the prior as the unseen row.
+    """
+    n = len(y)
+    prior = np.asarray([np.sum(y == c) / n for c in classes], dtype=np.float64)
+    rows = []
+    for level in levels:
+        member = values == level
+        n_a = int(np.sum(member))
+        counts = np.asarray([np.sum(y[member] == c) for c in classes], dtype=np.float64)
+        rows.append((counts + m * prior) / (n_a + m))
+    return np.vstack([*rows, prior])
+
+
+class TestLevelCodes:
+    def test_index_in_levels_and_unseen_is_len_levels(self):
+        codes = level_codes(np.asarray(["b", "zz", "a", "c", "b"], dtype=object), ("a", "b", "c"))
+        assert codes.dtype == np.intp
+        assert codes.tolist() == [1, 3, 0, 2, 1]
+
+    def test_empty_input_gives_empty_intp_array(self):
+        codes = level_codes(np.asarray([], dtype=object), ("a", "b"))
+        assert codes.dtype == np.intp
+        assert codes.shape == (0,)
 
 
 class TestDispatch:
@@ -120,6 +149,29 @@ class TestImpactValues:
                 for level, value in oracle.items():
                     assert abs(ce.table[ce.levels.index(level)][0] - value) <= 1e-12
                 assert abs(ce.table[-1][0] - ybar) <= 1e-12
+
+    def test_classification_tables_match_per_level_reference_bit_for_bit(self):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            classes = [f"c{i}" for i in range(int(rng.integers(2, 6)))]
+            levels = [f"l{i:02d}" for i in range(int(rng.integers(2, 31)))]
+            cat, y = levels[:1] * len(classes), list(classes)  # every class seen
+            for level in levels:
+                # Each level draws from a random subset of the classes, so
+                # most levels lack some class.
+                allowed = rng.choice(classes, size=int(rng.integers(1, len(classes) + 1)), replace=False)
+                size = int(rng.integers(1, 8))
+                cat += [level] * size
+                y += rng.choice(allowed, size=size).tolist()
+            order = rng.permutation(len(y))
+            cat = np.asarray(cat, dtype=object)[order]
+            y = np.asarray(y, dtype=object)[order]
+            ds = make_ds(cat, y, "binary" if len(classes) == 2 else "multiclass")
+            for m in (0, 1, 2.5):
+                ce = fit_encoders(ds, k=2, high_card_strategy="impact", m=m).encoders[0]
+                expected = impact_reference(cat, y, levels, classes, m)
+                assert ce.levels == tuple(levels)
+                assert np.array_equal(ce.table, expected), (seed, m)
 
     def test_multiclass_emits_one_column_per_class(self):
         cat = ["a", "a", "b", "b", "b", "c"]

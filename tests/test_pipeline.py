@@ -156,6 +156,34 @@ class TestPredict:
         preds = autogbt_predict(model, test)
         assert set(preds.labels) <= set(train.classes)
 
+    def test_extra_and_reordered_columns_do_not_change_predictions(self):
+        def mixed(n, seed):
+            # c1 (4 levels) is dummy encoded, the 12-level c2 impact encoded.
+            base = binary_margin_dataset(n, seed=seed, missing=0.05)
+            wide = np.random.default_rng(seed).choice([f"w{i:02d}" for i in range(12)], size=n)
+            cols = [Column("c2", "categorical", wide) if c.name == "c2" else c for c in base.columns]
+            return Dataset(tuple(cols), "label", "binary")
+
+        model = autogbt_fit(mixed(160, seed=61), AutoConfig(
+            seed=3, budget=4, deadline=60.0, max_rounds=20, patience=4))
+        strategies = [ce.strategy for ce in model.encoders.encoders]
+        assert strategies == ["passthrough", "passthrough", "dummy", "impact"]
+
+        test = mixed(60, seed=62)
+        scoring = Dataset(test.feature_columns, None, None)
+        rng = np.random.default_rng(63)
+        extra_num = Column("extra_num", "numeric", rng.normal(size=test.n_rows))
+        extra_cat = Column("extra_cat", "categorical", rng.choice(["p", "q"], size=test.n_rows))
+        shuffled = Dataset(
+            (extra_num, *reversed(test.feature_columns), extra_cat, test.target_column),
+            "label",
+            "binary",
+        )
+        expected = autogbt_predict(model, scoring)
+        got = autogbt_predict(model, shuffled)
+        assert np.array_equal(got.probabilities, expected.probabilities)
+        assert got.labels == expected.labels
+
     def test_schema_mismatch_errors(self, fitted_binary):
         _, _, model = fitted_binary
         wrong = Dataset((Column("x1", "numeric", np.arange(4.0)),), None, None)
