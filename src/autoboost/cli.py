@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, load_csv, majority_baseline
-from .metrics import get_measure, logloss, mmce, rmse
+from .metrics import MEASURES, logloss, mmce, resolve_measure, rmse
 from .pipeline import AutoConfig, BundleError, autogbt_fit, autogbt_predict, load, save
 from .smbo import TuneError, history_csv
 
@@ -140,9 +140,10 @@ def run_benchmark(
         report = DatasetReport(name=task.name, measure=task.measure)
         reports.append(report)
         try:
-            get_measure(task.measure)
             train = load_csv(task.train_path, task.target)
-            test = load_csv(task.test_path, task.target, task_hint=train.task)
+            measure = resolve_measure(task.measure, train.task)
+            test = load_csv(task.test_path, task.target, task_hint=train.task,
+                            kinds=dict(train.feature_schema))
             if train.task != "regression":
                 report.baseline = majority_baseline(train, test)
             else:
@@ -150,9 +151,9 @@ def run_benchmark(
                 truth = np.asarray(test.target_values(), dtype=np.float64)
                 report.baseline = rmse(np.full(len(truth), mean_pred), truth)
             for r in range(1, repetitions + 1):
-                run_cfg = dataclasses.replace(cfg, measure=task.measure, seed=seed + r)
+                run_cfg = dataclasses.replace(cfg, measure=measure, seed=seed + r)
                 model = autogbt_fit(train, run_cfg)
-                report.run_values.append(_test_value(task.measure, model, test))
+                report.run_values.append(_test_value(measure, model, test))
             report.aggregated = bootstrap_aggregate(report.run_values, B, size, seed, agg)
         except (DataError, ValueError, OSError, TuneError) as exc:
             report.error = str(exc)
@@ -175,6 +176,9 @@ def read_benchmark_spec(path: str | Path) -> list[BenchmarkTask]:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise DataError(f"benchmark spec needs columns {sorted(required)}")
         for row in reader:
+            missing = sorted(k for k in required if row[k] is None)
+            if missing:
+                raise DataError(f"{path}: line {reader.line_num} lacks fields {missing}")
             tasks.append(BenchmarkTask(
                 name=row["name"],
                 train_path=base / row["train_path"],
@@ -202,7 +206,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fit = sub.add_parser("fit", help="fit a pipeline on a CSV dataset")
     fit.add_argument("--data", required=True)
     fit.add_argument("--target", required=True)
-    fit.add_argument("--measure", choices=["mmce", "logloss", "rmse"])
+    fit.add_argument("--measure", choices=MEASURES)
     fit.add_argument("--budget", type=int, default=160)
     fit.add_argument("--time-limit", type=float, default=3600.0)
     fit.add_argument("--seed", type=int, default=1)
@@ -263,7 +267,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load(args.model)
-    data = load_csv(args.data, target=None, na_tokens=_na_tokens(args))
+    kinds = dict(model.encoders.feature_schema)
+    data = load_csv(args.data, target=None, na_tokens=_na_tokens(args), kinds=kinds)
     preds = autogbt_predict(model, data)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

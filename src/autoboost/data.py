@@ -199,15 +199,17 @@ def load_csv(
     target: str | None,
     task_hint: str | None = None,
     na_tokens: tuple[str, ...] = DEFAULT_NA_TOKENS,
+    kinds: dict[str, str] | None = None,
 ) -> Dataset:
     """Load an RFC-4180 CSV file (header row mandatory, UTF-8) into a Dataset.
 
-    Columns whose non-missing cells all parse as finite numbers become
-    numeric; everything else is categorical. Cells matching ``na_tokens``
-    become missing. The task is inferred from the target when no hint is
-    given: numeric target means regression, otherwise 2 levels means binary
-    and 3 or more means multiclass. ``target=None`` loads a feature-only
-    dataset for prediction.
+    A feature named in ``kinds`` (say, the fit-time schema) gets the kind it
+    maps to, and text in a numeric one raises DataError. Other columns whose
+    non-missing cells all parse as finite numbers become numeric; everything
+    else is categorical. Cells matching ``na_tokens`` become missing. The
+    task is inferred from the target when no hint is given: numeric target
+    means regression, otherwise 2 levels means binary and 3 or more means
+    multiclass. ``target=None`` loads a feature-only dataset for prediction.
     """
     path = Path(path)
     if not path.exists():
@@ -252,7 +254,7 @@ def load_csv(
                 elif task == "multiclass" and n_levels < 3:
                     raise DataError(f"multiclass target must have >=3 levels, found {n_levels}")
         else:
-            columns.append(_build_feature_column(name, cells, na_set))
+            columns.append(_build_feature_column(name, cells, na_set, (kinds or {}).get(name)))
 
     return Dataset(tuple(columns), target, task if target is not None else None)
 
@@ -270,10 +272,15 @@ def _numeric_values(cells: list[str], na_set: set[str]) -> np.ndarray | None:
     return values if np.all(np.isfinite(values) | np.asarray(missing)) else None
 
 
-def _build_feature_column(name: str, cells: list[str], na_set: set[str]) -> Column:
-    values = _numeric_values(cells, na_set)
+def _build_feature_column(
+    name: str, cells: list[str], na_set: set[str], kind: str | None
+) -> Column:
+    values = None if kind == "categorical" else _numeric_values(cells, na_set)
     if values is not None:
         return Column(name, "numeric", values)
+    if kind == "numeric":
+        row = next(i for i, c in enumerate(cells) if _numeric_values([c], na_set) is None)
+        raise DataError(f"feature {name!r} is numeric, row {row + 2} holds {cells[row]!r}")
     values = np.asarray([NA_LEVEL if c in na_set else c for c in cells], dtype=object)
     return Column(name, "categorical", values)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DataError
-from .metrics import Measure, logloss, mmce, rmse
+from .metrics import logloss, mmce, rmse
 
 _NEG_INF = -np.inf
 
@@ -216,7 +216,6 @@ def _best_split(X, g, h, rows, cols, reg_lambda, gamma):
     h_left = np.cumsum(hs, axis=0)[:-1]
     # NaN compares false, so no boundary reaches into the missing rows.
     boundary = xs[:-1] < xs[1:]
-    thresholds = 0.5 * (xs[:-1] + xs[1:])
 
     # Missing rows on the left, then on the right.
     gains_l = split_gain(
@@ -225,22 +224,17 @@ def _best_split(X, g, h, rows, cols, reg_lambda, gamma):
         reg_lambda, gamma,
     )
     gains_r = split_gain(g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma)
-    gains_l = np.where(boundary, gains_l, _NEG_INF)
-    gains_r = np.where(boundary, gains_r, _NEG_INF)
-
-    # Per column: the smallest threshold among equal gains, left before right.
-    j = np.arange(len(cols))
-    i_l = np.argmax(gains_l, axis=0)
-    i_r = np.argmax(gains_r, axis=0)
-    gain_l, gain_r = gains_l[i_l, j], gains_r[i_r, j]
-    thr_l, thr_r = thresholds[i_l, j], thresholds[i_r, j]
-    right = (gain_r > gain_l) | ((gain_r == gain_l) & (thr_r < thr_l))
-    gain = np.where(right, gain_r, gain_l)
-    best = int(np.argmax(gain))  # the first column among equal gains
-    if not gain[best] > 0.0:
+    # Rows of (position, direction) run threshold-ascending, left before
+    # right, so a column's first maximum is the scan's pick for that column.
+    gains = np.where(boundary[:, None], np.stack([gains_l, gains_r], axis=1), _NEG_INF)
+    gains = gains.reshape(-1, len(cols))
+    best = int(np.argmax(gains.max(axis=0)))  # the first column among equal gains
+    i = int(np.argmax(gains[:, best]))
+    if not gains[i, best] > 0.0:
         return None
-    threshold = thr_r[best] if right[best] else thr_l[best]
-    return float(gain[best]), int(cols[best]), float(threshold), not right[best]
+    pos, right = divmod(i, 2)
+    threshold = 0.5 * (xs[pos, best] + xs[pos + 1, best])
+    return float(gains[i, best]), int(cols[best]), float(threshold), not right
 
 
 def _sample_cols(cols: np.ndarray, frac: float, rng) -> np.ndarray:
@@ -341,12 +335,12 @@ def _base_score(task: str, y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.log(np.clip(freq, 1e-12, None))
 
 
-def _monitor_value(measure: Measure, task: str, scores: np.ndarray, y: np.ndarray) -> float:
+def _monitor_value(measure: str, task: str, scores: np.ndarray, y: np.ndarray) -> float:
     """Validation value of the monitored measure at raw scores."""
     if task == "regression":
         return rmse(scores, y)
     probs = _scores_to_probs(task, scores)
-    if measure.requires == "probabilities":
+    if measure == "logloss":
         return logloss(probs, y)
     return mmce(np.argmax(probs, axis=1), y)
 
@@ -366,7 +360,7 @@ def train(
     task: str,
     n_classes: int,
     cfg: GBTConfig,
-    measure: Measure,
+    measure: str,
 ) -> BoostedModel:
     """Boost with early stopping monitored on the validation arrays.
 

@@ -1,43 +1,36 @@
 """Performance measures used as tuning objectives and for threshold search.
 
 All measures are minimized. A measure that would naturally be maximized must
-be negated before registration; keeping a single direction simplifies both
-the optimizer loop and the threshold code.
+be negated before it joins ``MEASURES``; keeping a single direction simplifies
+both the optimizer loop and the threshold code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .data import DataError
 
 PROB_CLIP = 1e-15
 ROW_SUM_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class Measure:
-    name: str
-    requires: str   # "labels" | "probabilities" | "numeric"
+MEASURES = ("mmce", "logloss", "rmse")
 
 
-MEASURES = {
-    "mmce": Measure("mmce", "labels"),
-    "logloss": Measure("logloss", "probabilities"),
-    "rmse": Measure("rmse", "numeric"),
-}
+def resolve_measure(name: str | None, task: str) -> str:
+    """The measure a fit of ``task`` uses: ``name``, or mmce / rmse by task if None.
 
-
-def get_measure(name: str) -> Measure:
-    try:
-        return MEASURES[name]
-    except KeyError:
-        raise ValueError(f"unknown measure {name!r}, expected one of {sorted(MEASURES)}") from None
-
-
-def default_measure(task: str) -> Measure:
-    """mmce for classification, rmse for regression."""
-    return MEASURES["rmse"] if task == "regression" else MEASURES["mmce"]
+    An unknown name raises ValueError; rmse outside regression, or another
+    measure in regression, raises DataError.
+    """
+    if name is None:
+        return "rmse" if task == "regression" else "mmce"
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {name!r}, expected one of {sorted(MEASURES)}")
+    if (name == "rmse") != (task == "regression"):
+        kind = "regression" if task == "regression" else "classification"
+        raise DataError(f"measure {name!r} does not apply to {kind}")
+    return name
 
 
 def mmce(predicted, truth) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import gbt
 from .data import DataError, Dataset, split_holdout
 from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
-from .metrics import Measure, default_measure, get_measure, logloss, rmse
+from .metrics import logloss, resolve_measure, rmse
 from .smbo import decode_config, tune
 from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
@@ -80,15 +80,6 @@ class PipelineModel:
     fit_report: dict
 
 
-def _resolve_measure(cfg: AutoConfig, task: str) -> Measure:
-    measure = get_measure(cfg.measure) if cfg.measure else default_measure(task)
-    if task == "regression" and measure.requires != "numeric":
-        raise DataError(f"measure {measure.name!r} does not apply to regression")
-    if task != "regression" and measure.requires == "numeric":
-        raise DataError(f"measure {measure.name!r} does not apply to classification")
-    return measure
-
-
 def _gbt_config(params: dict, cfg: AutoConfig) -> gbt.GBTConfig:
     return gbt.GBTConfig(
         eta=params["eta"],
@@ -120,7 +111,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         raise DataError("fitting requires a dataset with a target column")
     task = d.task
     classification = task in ("binary", "multiclass")
-    measure = _resolve_measure(cfg, task)
+    measure = resolve_measure(cfg.measure, task)
 
     split = split_holdout(d, cfg.valid_fraction, cfg.seed, stratify=classification)
     enc = fit_encoders(split.train, cfg.k, cfg.high_card_strategy, cfg.m)
@@ -151,7 +142,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         thresholds: ThresholdVector | None = None
         if not classification:
             value = rmse(preds, y_valid)
-        elif measure.requires == "probabilities":
+        elif measure == "logloss":
             value = logloss(preds, y_valid)
             thresholds = _default_thresholds(task, n_classes)
         elif task == "binary":
@@ -182,7 +173,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         thresholds=incumbent["thresholds"] if classification else None,
         task=task,
         classes=classes,
-        measure=measure.name,
+        measure=measure,
         auto_config=dataclasses.asdict(cfg),
         history=history,
         fit_report={"objective_value": incumbent["value"]},
@@ -318,7 +309,7 @@ def save(p: PipelineModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> PipelineModel:
-    """Read a bundle back; bad checksums and foreign versions raise, not crash."""
+    """Read a bundle back; a bad file, checksum, version or payload raises BundleError."""
     path = Path(path)
     if not path.exists():
         raise BundleError(f"no such bundle: {path}")
@@ -338,4 +329,7 @@ def load(path: str | Path) -> PipelineModel:
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     if digest != doc.get("checksum"):
         raise BundleError("bundle checksum mismatch, file is corrupt")
-    return _from_payload(payload)
+    try:
+        return _from_payload(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"malformed bundle payload: {exc!r}") from None

@@ -139,7 +139,6 @@ class GPSurrogate:
     length_scales: np.ndarray
     signal_var: float
     noise_var: float
-    degenerate: bool = False
     _chol: np.ndarray | None = None
     _alpha: np.ndarray | None = None
 
@@ -150,8 +149,6 @@ class GPSurrogate:
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and sd of the latent objective, destandardized."""
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.degenerate:
-            return np.full(len(P), self.y_mean), np.zeros(len(P))
         _, t = _kernel_parts(P, self.X, self.length_scales)
         Ks = self.signal_var * _matern52(t)
         mu = self.y_mean + self.y_std * (Ks @ self._alpha)
@@ -161,15 +158,15 @@ class GPSurrogate:
         return mu, sd
 
 
-def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurrogate:
+def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurrogate | None:
     """Fit the surrogate by maximizing log marginal likelihood.
 
     Hyperparameters (anisotropic length-scales, signal variance) are found by
     multi-start L-BFGS-B with analytic gradients; the nugget stays at a small
     floor because objective evaluations are deterministic, escalating by
     decades only if the kernel matrix cannot be factorized. Constant values
-    short-circuit to a degenerate surrogate that the proposal step treats as
-    "fall back to random".
+    have nothing to fit and give None, on which the proposal step draws a
+    random point.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -183,7 +180,7 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
     y_mean = float(np.mean(y))
     y_std = float(np.std(y))
     if y_std < _SD_FLOOR:
-        return GPSurrogate(X, y_mean, 1.0, np.ones(d), 1.0, _NUGGET_FLOOR, degenerate=True)
+        return None
     z = (y - y_mean) / y_std
 
     bounds = [(math.log(0.05), math.log(3.0))] * d + [(math.log(1e-3), math.log(1e3))]
@@ -275,7 +272,7 @@ class TuneState:
 def propose_point(state: TuneState) -> np.ndarray:
     """Maximize EI over seeded uniform candidates plus local refinements.
 
-    Falls back to a random point when the surrogate is degenerate. A proposal
+    Falls back to a random point when there is no surrogate. A proposal
     that duplicates an evaluated point within L-inf 1e-9 is nudged by a
     seeded uniform offset of magnitude 1e-3.
     """
@@ -285,7 +282,7 @@ def propose_point(state: TuneState) -> np.ndarray:
     rng = np.random.default_rng([state.seed, len(state.evaluated)])
     points = np.asarray([r.point for r in state.evaluated]) if state.evaluated else np.empty((0, d))
     gp = state.gp
-    if gp is None or gp.degenerate:
+    if gp is None:
         return _dedup(rng.uniform(size=d), points, rng)
 
     best = min(r.value for r in state.evaluated)
@@ -373,7 +370,7 @@ def tune(
         pts = np.asarray([r.point for r in state.evaluated])
         vals = np.asarray([r.value for r in state.evaluated])
         state.gp = gp_fit(pts, vals, seed=seed + 131 * len(state.evaluated), warm_start=warm)
-        if not state.gp.degenerate:
+        if state.gp is not None:
             warm = state.gp.theta
         proposal = propose_point(state)
         _evaluate(state, objective, proposal, start, returned, penalize=True)

@@ -13,7 +13,8 @@ from autoboost.cli import (
     read_benchmark_spec,
     run_benchmark,
 )
-from autoboost.pipeline import AutoConfig
+from autoboost.data import Column, DataError, Dataset
+from autoboost.pipeline import AutoConfig, autogbt_predict, load
 
 from conftest import binary_margin_dataset
 
@@ -174,7 +175,49 @@ class TestRunBenchmark:
         assert baseline_pct in table
 
 
+@pytest.fixture(scope="module")
+def numeric_level_bundle(tmp_path_factory):
+    """A bundle fitted where categorical ``c1`` has the levels 1, 2, c and d."""
+    base = tmp_path_factory.mktemp("levels")
+    ds = binary_margin_dataset(200, seed=1)
+    c1 = np.asarray([{"a": "1", "b": "2"}.get(v, v) for v in ds.columns[2].values], dtype=object)
+    columns = list(ds.columns)
+    columns[2] = Column("c1", "categorical", c1)
+    train = dataset_to_csv(Dataset(tuple(columns), "label", "binary"), base / "train.csv")
+    bundle = base / "model.bundle"
+    code = main([
+        "fit", "--data", str(train), "--target", "label", "--budget", "4",
+        "--max-rounds", "20", "--out", str(bundle),
+    ])
+    assert code == 0
+    return bundle
+
+
 class TestCliCommands:
+    @pytest.mark.parametrize(
+        "levels", [["1", "2"], ["", ""]], ids=["numeric-looking", "all-missing"]
+    )
+    def test_predict_reads_categoricals_with_fit_time_kinds(
+        self, numeric_level_bundle, levels, tmp_path
+    ):
+        # Inferred on its own, this batch's c1 column would be numeric.
+        ds = binary_margin_dataset(30, seed=9)
+        c1 = np.asarray([levels[i % 2] or "__NA__" for i in range(30)], dtype=object)
+        columns = (*ds.columns[:2], Column("c1", "categorical", c1), ds.columns[3])
+        features = Dataset(columns, None, None)
+        data = dataset_to_csv(features, tmp_path / "features.csv")
+        out = tmp_path / "preds.csv"
+        code = main(["predict", "--model", str(numeric_level_bundle), "--data", str(data),
+                     "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        expected = autogbt_predict(load(numeric_level_bundle), features)
+        assert [r[0] for r in rows] == expected.labels
+        np.testing.assert_array_equal(
+            np.asarray([r[1:] for r in rows], dtype=float), expected.probabilities
+        )
+
     def test_fit_predict_roundtrip(self, csv_pair, tmp_path, capsys):
         base, train, test = csv_pair
         bundle = tmp_path / "model.bundle"
@@ -285,6 +328,21 @@ class TestCliCommands:
             "--out", str(tmp_path / "p.csv"),
         ])
         assert code == 2
+
+    def test_short_spec_row_is_a_data_error(self, csv_pair, tmp_path, capsys):
+        base, train, test = csv_pair
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            f"toy\t{train}\t{test}\tlabel\tmmce\n"
+            f"short\t{train}\n"
+        )
+        missing = r"line 3 lacks fields \['measure', 'target', 'test_path'\]"
+        with pytest.raises(DataError, match=missing):
+            read_benchmark_spec(spec)
+        code = main(["benchmark", "--spec", str(spec), "--out", str(tmp_path / "r.tsv")])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_spec_relative_paths(self, csv_pair, tmp_path):
         base, train, test = csv_pair

@@ -78,6 +78,21 @@ class TestLoadCsv:
         assert ds.target is None and ds.task is None
         assert len(ds.feature_columns) == 2
 
+    def test_kinds_override_inference(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "zip,blank,x,n\n1,,1,5\n2,NA,2,\n")
+        kinds = {"zip": "categorical", "blank": "categorical", "n": "numeric"}
+        ds = load_csv(p, target=None, kinds=kinds)
+        assert [c.kind for c in ds.columns] == ["categorical", "categorical", "numeric", "numeric"]
+        assert ds.columns[0].levels == ("1", "2")
+        assert ds.columns[1].levels == ("__NA__",)
+        assert np.isnan(ds.columns[3].values[1])
+
+    @pytest.mark.parametrize("cell", ["abc", "inf"])
+    def test_text_in_numeric_kind_names_column_and_row(self, tmp_path, cell):
+        p = write_csv(tmp_path / "d.csv", f"x,y\n1,0\n,1\n{cell},0\n")
+        with pytest.raises(DataError, match=f"feature 'x' is numeric, row 4 holds '{cell}'"):
+            load_csv(p, target="y", kinds={"x": "numeric"})
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", target="y")

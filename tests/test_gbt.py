@@ -20,7 +20,6 @@ from autoboost.gbt import (
     split_gain,
     train,
 )
-from autoboost.metrics import get_measure
 
 from conftest import binary_margin_dataset, numeric_binary_dataset
 
@@ -244,6 +243,13 @@ class TestSplitTieRule:
         tree = depth1_tree(np.arange(4.0)[:, None], np.asarray([1.0, -1.0, -1.0, 1.0]), np.ones(4))
         assert root_split(tree) == (0, 0.5, True)
 
+    def test_right_default_wins_a_tie_at_a_smaller_threshold(self):
+        # 1.5 with the missing row right and 2.5 with it left each isolate one
+        # g = 2 row at equal gain; the smaller threshold wins, default right.
+        X = np.asarray([2.0, np.nan, 3.0, 1.0])[:, None]
+        tree = depth1_tree(X, np.asarray([1.0, 1.0, 2.0, 2.0]), np.ones(4))
+        assert root_split(tree) == (0, 1.5, False)
+
     def test_identical_columns_take_the_first(self):
         X = np.repeat(np.arange(6.0)[:, None], 2, axis=1)
         tree = depth1_tree(X, np.asarray([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), np.ones(6))
@@ -279,7 +285,7 @@ def fit(ds, cfg, measure):
     """Train on the arrays of ``ds``, which also serves as the validation set."""
     X, y = arrays(ds)
     n_classes = len(ds.classes) if ds.task != "regression" else 1
-    return train(X, y, X, y, ds.task, n_classes, cfg, get_measure(measure))
+    return train(X, y, X, y, ds.task, n_classes, cfg, measure)
 
 
 class TestTraining:
@@ -424,13 +430,13 @@ class TestTraining:
         cfg = GBTConfig(max_rounds=2, seed=1)
         X, y = arrays(numeric_binary_dataset(40, seed=1))
         with pytest.raises(DataError, match="empty dataset"):
-            train(X[:0], y[:0], X, y, "binary", 2, cfg, get_measure("mmce"))
+            train(X[:0], y[:0], X, y, "binary", 2, cfg, "mmce")
         with pytest.raises(DataError, match="zero rows"):
-            train(X, y, X[:0], y[:0], "binary", 2, cfg, get_measure("mmce"))
+            train(X, y, X[:0], y[:0], "binary", 2, cfg, "mmce")
         with pytest.raises(DataError, match="no feature columns"):
-            train(X[:, :0], y, X[:, :0], y, "binary", 2, cfg, get_measure("mmce"))
+            train(X[:, :0], y, X[:, :0], y, "binary", 2, cfg, "mmce")
         with pytest.raises(DataError, match="feature columns"):
-            train(X, y, X[:, :1], y, "binary", 2, cfg, get_measure("mmce"))
+            train(X, y, X[:, :1], y, "binary", 2, cfg, "mmce")
         with pytest.raises(DataError, match="categorical"):
             arrays(ds)  # categorical features present
 

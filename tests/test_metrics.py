@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from autoboost.metrics import default_measure, get_measure, logloss, mmce, rmse
+from autoboost.data import DataError
+from autoboost.metrics import logloss, mmce, resolve_measure, rmse
 
 
 class TestMmce:
@@ -79,10 +80,23 @@ class TestRmse:
 
 class TestRegistry:
     def test_defaults_by_task(self):
-        assert default_measure("binary").name == "mmce"
-        assert default_measure("multiclass").name == "mmce"
-        assert default_measure("regression").name == "rmse"
+        assert resolve_measure(None, "binary") == "mmce"
+        assert resolve_measure(None, "multiclass") == "mmce"
+        assert resolve_measure(None, "regression") == "rmse"
 
     def test_unknown_name_errors(self):
         with pytest.raises(ValueError, match="unknown measure"):
-            get_measure("auc")
+            resolve_measure("auc", "binary")
+
+    @pytest.mark.parametrize("name,task", [
+        ("rmse", "binary"), ("rmse", "multiclass"),
+        ("mmce", "regression"), ("logloss", "regression"),
+    ])
+    def test_measure_of_another_task_errors(self, name, task):
+        kind = "regression" if task == "regression" else "classification"
+        with pytest.raises(DataError, match=f"measure '{name}' does not apply to {kind}"):
+            resolve_measure(name, task)
+
+    def test_named_measure_that_fits_is_kept(self):
+        assert resolve_measure("logloss", "multiclass") == "logloss"
+        assert resolve_measure("rmse", "regression") == "rmse"

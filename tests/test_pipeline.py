@@ -1,5 +1,6 @@
 """End-to-end pipeline: fit, predict, serialize, internal consistency."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from autoboost.data import Column, DataError, Dataset, SchemaError, split_holdou
 from autoboost.encoding import transform
 from autoboost.gbt import predict as gbt_predict
 from autoboost.metrics import logloss, mmce, rmse
+from autoboost.cli import main
 from autoboost.pipeline import (
     AutoConfig,
     BundleError,
@@ -329,6 +331,23 @@ class TestBundle:
         path.write_text(json.dumps(doc))
         with pytest.raises(BundleError, match="checksum"):
             load(path)
+
+    def test_payload_without_model_raises_bundle_error(self, fitted_binary, tmp_path):
+        # A valid checksum over a payload that lacks a key is still malformed.
+        train, _, model = fitted_binary
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        doc = json.loads(path.read_text())
+        del doc["payload"]["model"]
+        canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match="malformed bundle payload"):
+            load(path)
+        data = tmp_path / "features.csv"
+        data.write_text("x1,x2,c1,c2\n0.5,0.1,a,u\n-0.5,0.2,b,v\n")
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 2
 
     def test_newer_version_raises_version_error(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary

@@ -86,11 +86,7 @@ class TestGP:
 
     def test_constant_values_degenerate(self):
         X = np.random.default_rng(0).uniform(size=(6, 8))
-        gp = gp_fit(X, np.full(6, 2.5))
-        assert gp.degenerate
-        mu, sd = gp.posterior(X)
-        np.testing.assert_array_equal(mu, np.full(6, 2.5))
-        np.testing.assert_array_equal(sd, np.zeros(6))
+        assert gp_fit(X, np.full(6, 2.5)) is None
 
     def test_posterior_sd_smaller_at_training_point_than_far_corner(self):
         rng = np.random.default_rng(7)
@@ -171,6 +167,19 @@ class TestProposeAndTune:
     def test_proposals_never_duplicate_evaluated_points(self):
         state = tune(sphere, budget=25, n_init=8, seed=4)
         pts = np.asarray([r.point for r in state.evaluated])
+        for i in range(len(pts)):
+            others = np.delete(pts, i, axis=0)
+            assert np.min(np.abs(others - pts[i]).max(axis=1)) > 1e-9
+
+    def test_constant_objective_runs_full_budget_with_random_proposals(self):
+        # Constant values leave no surrogate, so each step draws its seeded
+        # random point, and no point repeats.
+        state = tune(lambda u: 1.0, budget=14, n_init=8, seed=3)
+        assert len(state.evaluated) == 14
+        assert state.gp is None
+        pts = np.asarray([r.point for r in state.evaluated])
+        for i in range(8, 14):
+            np.testing.assert_array_equal(pts[i], np.random.default_rng([3, i]).uniform(size=8))
         for i in range(len(pts)):
             others = np.delete(pts, i, axis=0)
             assert np.min(np.abs(others - pts[i]).max(axis=1)) > 1e-9
