@@ -225,7 +225,7 @@ def _model_to_dict(m: gbt.BoostedModel) -> dict:
 def _model_from_dict(d: dict) -> gbt.BoostedModel:
     return gbt.BoostedModel(
         task=d["task"],
-        base_score=np.asarray(d["base_score"]),
+        base_score=np.asarray(d["base_score"], dtype=np.float64),
         rounds=tuple(tuple(gbt.Tree.from_lists(**rec) for rec in group) for group in d["rounds"]),
         best_iteration=int(d["best_iteration"]),
         valid_history=tuple(float(v) for v in d["valid_history"]),
@@ -325,11 +325,67 @@ def load(path: str | Path) -> PipelineModel:
             f"bundle format version {version!r} is not supported, this build reads {FORMAT_VERSION}"
         )
     payload = doc.get("payload")
-    canonical = _canonical(payload)
+    try:
+        canonical = _canonical(payload)
+    except ValueError:  # json reads NaN and Infinity, which save never writes
+        raise BundleError("bundle holds a non-finite number, file is corrupt") from None
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     if digest != doc.get("checksum"):
         raise BundleError("bundle checksum mismatch, file is corrupt")
     try:
-        return _from_payload(payload)
+        p = _from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"malformed bundle payload: {exc!r}") from None
+    _check_parts(p)
+    return p
+
+
+def _check_parts(p: PipelineModel) -> None:
+    """Raise BundleError unless the parts of a loaded pipeline fit together.
+
+    A checksum only proves the file is the one written; these checks make
+    sure prediction cannot index out of range or walk a tree forever.
+    """
+    def fail(what: str):
+        raise BundleError(f"inconsistent bundle: {what}")
+
+    m = p.model
+    if p.task not in ("regression", "binary", "multiclass") or m.task != p.task:
+        fail(f"task {p.task!r} with a {m.task!r} model")
+    if p.task == "regression":
+        n_out = 1
+    else:
+        n_classes = len(p.classes) if p.classes is not None else 0
+        if n_classes < 2 or (p.task == "binary" and n_classes != 2):
+            fail(f"{n_classes} classes for a {p.task} task")
+        # One output and one threshold per class for multiclass, else one.
+        n_out = n_classes if p.task == "multiclass" else 1
+        given = len(p.thresholds) if p.thresholds is not None else 0
+        if given != n_out:
+            fail(f"{given} thresholds for a {p.task} task over {n_classes} classes")
+    if m.base_score.shape != ((n_out,) if p.task == "multiclass" else ()):
+        fail(f"base score of shape {m.base_score.shape} for {n_out} outputs")
+    if not 1 <= m.best_iteration <= len(m.rounds):
+        fail(f"best_iteration {m.best_iteration} with {len(m.rounds)} rounds")
+    width = sum(len(ce.output_names) for ce in p.encoders.encoders)
+    if width != m.n_features:
+        fail(f"encoders give {width} features, the model reads {m.n_features}")
+    for ce in p.encoders.encoders:
+        if ce.strategy != "passthrough" and len(ce.table) != len(ce.levels) + 1:
+            fail(f"encoder {ce.name!r} has {len(ce.table)} rows for {len(ce.levels)} levels")
+    for r, group in enumerate(m.rounds):
+        if len(group) != n_out:
+            fail(f"round {r} holds {len(group)} trees, expected {n_out}")
+        for tree in group:
+            n = tree.feature.size
+            if n == 0 or any(a.shape != (n,) for a in tree):
+                fail(f"round {r} has a tree whose node arrays differ in length")
+            if tree.feature.min() < -1 or tree.feature.max() >= m.n_features:
+                fail(f"round {r} has a feature index outside [-1, {m.n_features})")
+            split = np.flatnonzero(tree.feature >= 0)
+            left = tree.left[split]
+            # Children numbered after their parent rule out cycles; each
+            # node but the root a child of exactly one split makes it a tree.
+            children = np.sort(np.concatenate([left, left + 1]))
+            if np.any(left <= split) or not np.array_equal(children, np.arange(1, n)):
+                fail(f"round {r} has a tree whose child links do not form a tree")

@@ -14,9 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import ndtr
+import scipy
 
 _SQRT5 = math.sqrt(5.0)
 _NUGGET_FLOOR = 1e-8
@@ -114,12 +112,12 @@ def _nll_and_grad(theta: np.ndarray, X: np.ndarray, z: np.ndarray, noise: float)
     K = sf2 * M
     K[np.diag_indices(n)] += noise
     try:
-        L = cholesky(K, lower=True)
+        L = scipy.linalg.cholesky(K, lower=True)
     except np.linalg.LinAlgError:
         return 1e25, np.zeros(d + 1)
-    alpha = cho_solve((L, True), z)
+    alpha = scipy.linalg.cho_solve((L, True), z)
     nll = 0.5 * float(z @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * n * math.log(2 * math.pi)
-    K_inv = cho_solve((L, True), np.eye(n))
+    K_inv = scipy.linalg.cho_solve((L, True), np.eye(n))
     A = np.outer(alpha, alpha) - K_inv
     grad = np.empty(d + 1)
     # dK/dlog(ell_i) = (5/3) (1+T) exp(-T) sf2 * S_i, dK/dlog(sf2) = sf2 * M.
@@ -152,7 +150,7 @@ class GPSurrogate:
         _, t = _kernel_parts(P, self.X, self.length_scales)
         Ks = self.signal_var * _matern52(t)
         mu = self.y_mean + self.y_std * (Ks @ self._alpha)
-        V = solve_triangular(self._chol, Ks.T, lower=True)
+        V = scipy.linalg.solve_triangular(self._chol, Ks.T, lower=True)
         var = np.clip(self.signal_var - (V * V).sum(axis=0), 0.0, None)
         sd = self.y_std * np.sqrt(var)
         return mu, sd
@@ -197,7 +195,7 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
     # _nll_and_grad returns 1e25 or a finite value, so the first start sets best_theta.
     best_theta, best_nll = None, np.inf
     for theta0 in starts:
-        res = minimize(
+        res = scipy.optimize.minimize(
             _nll_and_grad, theta0, args=(X, z, _NUGGET_FLOOR),
             method="L-BFGS-B", jac=True, bounds=bounds,
             options={"maxiter": 50, "gtol": 1e-4},
@@ -214,13 +212,13 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
         K = sf2 * M
         K[np.diag_indices(n)] += noise
         try:
-            L = cholesky(K, lower=True)
+            L = scipy.linalg.cholesky(K, lower=True)
             break
         except np.linalg.LinAlgError:
             noise *= 10.0
             if noise > _NUGGET_CAP:
                 raise TuneError("kernel matrix singular even at maximum nugget") from None
-    alpha = cho_solve((L, True), z)
+    alpha = scipy.linalg.cho_solve((L, True), z)
     return GPSurrogate(X, y_mean, y_std, ell, sf2, noise, _chol=L, _alpha=alpha)
 
 
@@ -236,7 +234,7 @@ def ei_value(mu, sd, best):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = improve / sd
         phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-        ei = improve * ndtr(z) + sd * phi
+        ei = improve * scipy.special.ndtr(z) + sd * phi
     ei = np.where(sd < _SD_FLOOR, np.maximum(improve, 0.0), ei)
     return float(ei) if ei.ndim == 0 else ei
 

@@ -1,10 +1,14 @@
 """Bootstrap aggregation, benchmark harness, and the command-line interface."""
 
 import csv
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import autoboost
 from autoboost.cli import (
     BenchmarkTask,
     bootstrap_aggregate,
@@ -193,7 +197,46 @@ def numeric_level_bundle(tmp_path_factory):
     return bundle
 
 
+# Runs the CLI in a fresh interpreter, then prints its exit code and the
+# SciPy submodules that the run loaded.
+_SCIPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import autoboost, autoboost.cli
+code = autoboost.cli.main(sys.argv[2:])
+print(code, *sorted(m for m in ("scipy.linalg", "scipy.optimize", "scipy.special") if m in sys.modules))
+"""
+
+
+def _scipy_after(argv) -> list[str]:
+    src = Path(autoboost.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _SCIPY_PROBE, str(src), *argv],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
 class TestCliCommands:
+    def test_scoring_process_never_loads_scipy(self, csv_pair, tmp_path):
+        base, train, test = csv_pair
+        bundle = tmp_path / "model.bundle"
+        assert main([
+            "fit", "--data", str(train), "--target", "label", "--budget", "4",
+            "--max-rounds", "20", "--out", str(bundle),
+        ]) == 0
+        assert _scipy_after([
+            "predict", "--model", str(bundle), "--data", str(test),
+            "--out", str(tmp_path / "preds.csv"),
+        ]) == ["0"]
+        # One evaluation past the 16-point initial design fits the GP.
+        loaded = _scipy_after([
+            "fit", "--data", str(train), "--target", "label", "--budget", "17",
+            "--max-rounds", "5", "--out", str(tmp_path / "gp.bundle"),
+        ])
+        assert loaded[0] == "0" and "scipy.optimize" in loaded
+
     @pytest.mark.parametrize(
         "levels", [["1", "2"], ["", ""]], ids=["numeric-looking", "all-missing"]
     )

@@ -35,6 +35,27 @@ def fitted_binary():
     return train, cfg, autogbt_fit(train, cfg)
 
 
+@pytest.fixture(scope="module")
+def fitted_multiclass():
+    rng = np.random.default_rng(14)
+    n = 210
+    centers = {"a": -3.0, "b": 0.0, "c": 3.0}
+    labels = rng.choice(["a", "b", "c"], size=n).astype(object)
+    x = np.asarray([rng.normal(centers[l], 0.6) for l in labels])
+    cat = rng.choice(["p", "q"], size=n).astype(object)
+    train = Dataset(
+        (
+            Column("x", "numeric", x),
+            Column("c", "categorical", cat),
+            Column("y", "categorical", labels),
+        ),
+        "y",
+        "multiclass",
+    )
+    cfg = AutoConfig(seed=12, budget=4, deadline=60.0, max_rounds=25, patience=4)
+    return train, cfg, autogbt_fit(train, cfg)
+
+
 class TestFit:
     def test_separable_binary_beats_baseline(self, fitted_binary):
         train, cfg, model = fitted_binary
@@ -80,24 +101,9 @@ class TestFit:
         with pytest.raises(DataError, match="does not apply"):
             autogbt_fit(train, AutoConfig(measure="rmse", **FAST))
 
-    def test_multiclass_pipeline_with_gsa_thresholds(self, tmp_path):
-        rng = np.random.default_rng(14)
-        n = 210
-        centers = {"a": -3.0, "b": 0.0, "c": 3.0}
-        labels = rng.choice(["a", "b", "c"], size=n).astype(object)
-        x = np.asarray([rng.normal(centers[l], 0.6) for l in labels])
-        cat = rng.choice(["p", "q"], size=n).astype(object)
-        train = Dataset(
-            (
-                Column("x", "numeric", x),
-                Column("c", "categorical", cat),
-                Column("y", "categorical", labels),
-            ),
-            "y",
-            "multiclass",
-        )
-        cfg = AutoConfig(seed=12, budget=4, deadline=60.0, max_rounds=25, patience=4)
-        model = autogbt_fit(train, cfg)
+    def test_multiclass_pipeline_with_gsa_thresholds(self, fitted_multiclass, tmp_path):
+        train, _, model = fitted_multiclass
+        labels = train.target_column.values
         assert model.task == "multiclass"
         assert len(model.thresholds) == 3
         preds = autogbt_predict(model, train)
@@ -260,6 +266,82 @@ class TestHoldoutLabels:
         assert "a" in set(split.train.target_values())
 
 
+def _rewrite_with_checksum(path, doc):
+    """Write ``doc`` to ``path`` with the checksum of its (edited) payload."""
+    canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+def _split_tree(payload, count=1):
+    """The first stored tree with at least ``count`` split nodes, and their indices."""
+    for group in payload["model"]["rounds"]:
+        for tree in group:
+            splits = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+            if len(splits) >= count:
+                return tree, splits
+    raise AssertionError(f"no stored tree has {count} split nodes")
+
+
+def _one_threshold(p):
+    p["thresholds"] = p["thresholds"][:1]
+
+
+def _feature_99(p):
+    tree, splits = _split_tree(p)
+    tree["feature"][splits[0]] = 99
+
+
+def _one_class_fewer(p):
+    p["classes"] = p["classes"][:-1]
+
+
+def _left_out_of_range(p):
+    tree, splits = _split_tree(p)
+    tree["left"][splits[0]] = 10**6
+
+
+def _left_is_own_index(p):
+    tree, splits = _split_tree(p)
+    tree["left"][splits[0]] = splits[0]
+
+
+def _children_shared(p):
+    # Both splits stay numbered before their children; the first split's
+    # own children lose their parent.
+    tree, splits = _split_tree(p, 2)
+    tree["left"][splits[0]] = tree["left"][splits[1]]
+
+
+def _node_arrays_differ(p):
+    p["model"]["rounds"][0][0]["value"].append(0.0)
+
+
+def _round_one_tree_short(p):
+    p["model"]["rounds"][0] = p["model"]["rounds"][0][:-1]
+
+
+def _base_score_one_short(p):
+    p["model"]["base_score"] = p["model"]["base_score"][:-1]
+
+
+def _best_iteration_zero(p):
+    p["model"]["best_iteration"] = 0
+
+
+def _best_iteration_past_rounds(p):
+    p["model"]["best_iteration"] = len(p["model"]["rounds"]) + 1
+
+
+def _model_reads_one_more_feature(p):
+    p["model"]["n_features"] += 1
+
+
+def _encoder_table_row_dropped(p):
+    enc = next(e for e in p["encoders"] if e["strategy"] != "passthrough")
+    enc["table"] = enc["table"][:-1]
+
+
 class TestBundle:
     def test_roundtrip_predictions_bit_identical(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary
@@ -339,15 +421,54 @@ class TestBundle:
         save(model, path)
         doc = json.loads(path.read_text())
         del doc["payload"]["model"]
-        canonical = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        path.write_text(json.dumps(doc))
+        _rewrite_with_checksum(path, doc)
         with pytest.raises(BundleError, match="malformed bundle payload"):
             load(path)
         data = tmp_path / "features.csv"
         data.write_text("x1,x2,c1,c2\n0.5,0.1,a,u\n-0.5,0.2,b,v\n")
         assert main(["predict", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        _one_threshold,
+        _feature_99,
+        _one_class_fewer,
+        _left_out_of_range,
+        _left_is_own_index,
+        _children_shared,
+        _node_arrays_differ,
+        _round_one_tree_short,
+        _base_score_one_short,
+        _best_iteration_zero,
+        _best_iteration_past_rounds,
+        _model_reads_one_more_feature,
+        _encoder_table_row_dropped,
+    ], ids=lambda edit: edit.__name__.strip("_"))
+    def test_parts_that_disagree_raise_bundle_error(self, fitted_multiclass, edit, tmp_path):
+        # The checksum matches the edited payload, so only the consistency
+        # checks can refuse it; a self-referencing split would loop forever.
+        _, _, model = fitted_multiclass
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        doc = json.loads(path.read_text())
+        edit(doc["payload"])
+        _rewrite_with_checksum(path, doc)
+        with pytest.raises(BundleError, match="inconsistent bundle"):
+            load(path)
+        data = tmp_path / "features.csv"
+        data.write_text("x,c\n0.5,p\n-3.0,q\n")
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_non_finite_number_raises_bundle_error(self, fitted_binary, tmp_path):
+        _, _, model = fitted_binary
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["fit_report"]["objective_value"] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleError, match="non-finite"):
+            load(path)
 
     def test_newer_version_raises_version_error(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary
