@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -315,6 +316,11 @@ def main(argv=None) -> int:
                 commands[args.command].error(
                     f"argument {flag}: expected an integer >= {low}, got {value}"
                 )
+        # A bundle stores its deadline as JSON, which has no infinity or NaN.
+        if not math.isfinite(getattr(args, "time_limit", 0.0)):
+            commands[args.command].error(
+                f"argument --time-limit: expected a finite number of seconds, got {args.time_limit}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

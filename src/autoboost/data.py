@@ -186,14 +186,6 @@ class Dataset:
         return codes
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """Row-disjoint train/validation split of one dataset."""
-
-    train: Dataset
-    valid: Dataset
-
-
 def load_csv(
     path: str | Path,
     target: str | None,
@@ -207,9 +199,9 @@ def load_csv(
     maps to, and text in a numeric one raises DataError. Other columns whose
     non-missing cells all parse as finite numbers become numeric; everything
     else is categorical. Cells matching ``na_tokens`` become missing. The
-    task is inferred from the target when no hint is given: numeric target
-    means regression, otherwise 2 levels means binary and 3 or more means
-    multiclass. ``target=None`` loads a feature-only dataset for prediction.
+    target column and its task come from ``_build_target_column``.
+    ``target=None`` loads a feature-only dataset for prediction, which may
+    hold a single row; a file with a target needs two.
     """
     path = Path(path)
     if not path.exists():
@@ -230,33 +222,25 @@ def load_csv(
         raise DataError(f"{path}: duplicate column names in header")
     if target is not None and target not in header:
         raise DataError(f"{path}: target column {target!r} not in header")
-    if len(rows) < 2:
+    if target is not None and len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
+    if not rows:
+        raise DataError(f"{path}: need at least 1 data row, found 0")
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
 
     columns = []
-    task = task_hint
+    task = None
     for j, name in enumerate(header):
         cells = [row[j] for row in rows]
         if name == target:
-            tcol = _build_target_column(name, cells, na_set, task_hint)
-            columns.append(tcol)
-            if task is None and tcol.kind == "numeric":
-                task = "regression"
-            elif tcol.kind == "categorical":
-                n_levels = len(tcol.levels)
-                if task is None:
-                    task = "binary" if n_levels == 2 else "multiclass"
-                elif task == "binary" and n_levels != 2:
-                    raise DataError(f"binary target must have 2 levels, found {n_levels}")
-                elif task == "multiclass" and n_levels < 3:
-                    raise DataError(f"multiclass target must have >=3 levels, found {n_levels}")
+            column, task = _build_target_column(name, cells, na_set, task_hint)
         else:
-            columns.append(_build_feature_column(name, cells, na_set, (kinds or {}).get(name)))
+            column = _build_feature_column(name, cells, na_set, (kinds or {}).get(name))
+        columns.append(column)
 
-    return Dataset(tuple(columns), target, task if target is not None else None)
+    return Dataset(tuple(columns), target, task)
 
 
 def _numeric_values(cells: list[str], na_set: set[str]) -> np.ndarray | None:
@@ -287,25 +271,33 @@ def _build_feature_column(
 
 def _build_target_column(
     name: str, cells: list[str], na_set: set[str], task_hint: str | None
-) -> Column:
+) -> tuple[Column, str]:
+    """The target column and its task: the hint, else regression for a numeric
+    target, binary for 2 levels and multiclass for 3 or more."""
     if any(c in na_set for c in cells):
         raise DataError(f"target column {name!r} has missing cells")
     values = _numeric_values(cells, na_set)
     if task_hint == "regression" or (task_hint is None and values is not None):
         if values is None:
             raise DataError(f"target column {name!r} is not numeric, cannot regress")
-        return Column(name, "numeric", values)
+        return Column(name, "numeric", values), "regression"
     # Classification targets keep their literal string labels, numeric-looking or not.
-    distinct = len(set(cells))
-    if task_hint is None and distinct < 2:
+    column = Column(name, "categorical", np.asarray(cells, dtype=object))
+    n_levels = len(column.levels)
+    if task_hint is None and n_levels < 2:
         raise DataError(f"target column {name!r} has a single level")
-    return Column(name, "categorical", np.asarray(cells, dtype=object))
+    task = task_hint or ("binary" if n_levels == 2 else "multiclass")
+    if task == "binary" and n_levels != 2:
+        raise DataError(f"binary target must have 2 levels, found {n_levels}")
+    if task == "multiclass" and n_levels < 3:
+        raise DataError(f"multiclass target must have >=3 levels, found {n_levels}")
+    return column, task
 
 
 def split_holdout(
     d: Dataset, valid_fraction: float, seed: int, stratify: bool = False
-) -> SplitPair:
-    """Split off a validation holdout of round(valid_fraction * n_rows) rows.
+) -> tuple[Dataset, Dataset]:
+    """Return (train, valid), with a holdout of round(valid_fraction * n_rows) rows.
 
     Stratified splits allocate per-class validation counts by largest
     remainder, which keeps class proportions within one row of exact, and
@@ -357,7 +349,7 @@ def split_holdout(
     mask = np.zeros(n, dtype=bool)
     mask[valid_rows] = True
     train_rows = np.flatnonzero(~mask)
-    return SplitPair(d.subset(train_rows), d.subset(valid_rows))
+    return d.subset(train_rows), d.subset(valid_rows)
 
 
 def majority_baseline(train: Dataset, test: Dataset) -> float:

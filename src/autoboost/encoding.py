@@ -128,29 +128,24 @@ def _fit_impact(col: Column, train: Dataset, m: float) -> ColumnEncoder:
 
 
 def transform(enc: EncoderModel, d: Dataset) -> Dataset:
-    """Apply fitted encoders; the result has all-numeric features.
+    """Apply fitted encoders; the result holds the encoded features only.
 
-    Requires every fit-time feature to be present with the same kind; extra
-    columns are ignored. The target column, when present, passes through
-    untouched. Unseen levels map to the last row of each encoder's table.
+    Requires every fit-time feature to be present with the same kind; other
+    columns, the target among them, are ignored. Unseen levels map to the
+    last row of each encoder's table.
     """
     available = {c.name: c for c in d.columns}
-    for name, kind in enc.feature_schema:
+    out_columns: list[Column] = []
+    for ce, (name, kind) in zip(enc.encoders, enc.feature_schema):
         col = available.get(name)
         if col is None:
             raise SchemaError(f"missing feature column {name!r}")
         if col.kind != kind:
             raise SchemaError(f"feature {name!r} is {col.kind}, expected {kind}")
-
-    out_columns: list[Column] = []
-    for ce in enc.encoders:
-        col = available[ce.name]
         if ce.strategy == "passthrough":
             out_columns.append(col)
             continue
         encoded = ce.table[level_codes(col.values, ce.levels)]
         for j, out_name in enumerate(ce.output_names):
             out_columns.append(Column(out_name, "numeric", encoded[:, j]))
-    if d.target is not None:
-        out_columns.append(d.target_column)
-    return Dataset(tuple(out_columns), d.target, d.task)
+    return Dataset(tuple(out_columns), None, None)

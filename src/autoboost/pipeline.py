@@ -109,28 +109,31 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     cfg = cfg if cfg is not None else AutoConfig()
     if d.target is None:
         raise DataError("fitting requires a dataset with a target column")
+    if not math.isfinite(cfg.deadline):
+        raise ValueError(f"deadline must be a finite number of seconds, got {cfg.deadline}")
     task = d.task
     classification = task in ("binary", "multiclass")
     measure = resolve_measure(cfg.measure, task)
 
-    split = split_holdout(d, cfg.valid_fraction, cfg.seed, stratify=classification)
-    enc = fit_encoders(split.train, cfg.k, cfg.high_card_strategy, cfg.m)
-    train_enc = transform(enc, split.train)
-    valid_enc = transform(enc, split.valid)
-    x_train = train_enc.feature_matrix()
-    x_valid = valid_enc.feature_matrix()
+    train, valid = split_holdout(d, cfg.valid_fraction, cfg.seed, stratify=classification)
+    # Checked here: an encoded table with no columns has no rows either.
+    if not d.feature_columns:
+        raise DataError("dataset has no feature columns")
+    enc = fit_encoders(train, cfg.k, cfg.high_card_strategy, cfg.m)
+    x_train = transform(enc, train).feature_matrix()
+    x_valid = transform(enc, valid).feature_matrix()
     # Both splits map through the training classes, so a class missing from
     # the holdout shifts nothing.
     if classification:
-        classes = train_enc.classes
+        classes = train.classes
         n_classes = len(classes)
-        y_train = train_enc.class_indices(classes)
-        y_valid = valid_enc.class_indices(classes)
+        y_train = train.class_indices(classes)
+        y_valid = valid.class_indices(classes)
     else:
         classes = None
         n_classes = 1
-        y_train = np.asarray(train_enc.target_values(), dtype=np.float64)
-        y_valid = np.asarray(valid_enc.target_values(), dtype=np.float64)
+        y_train = train.target_values()
+        y_valid = valid.target_values()
 
     incumbent: dict = {"value": math.inf}
 

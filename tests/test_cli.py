@@ -18,9 +18,10 @@ from autoboost.cli import (
     run_benchmark,
 )
 from autoboost.data import Column, DataError, Dataset
+from autoboost.metrics import rmse
 from autoboost.pipeline import AutoConfig, autogbt_predict, load
 
-from conftest import binary_margin_dataset
+from conftest import binary_margin_dataset, linear_regression_dataset
 
 
 def dataset_to_csv(ds, path):
@@ -296,6 +297,82 @@ class TestCliCommands:
         p = [float(rows[1][1]), float(rows[1][2])]
         assert sum(p) == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_row_file_scores_like_its_line_in_a_longer_file(
+        self, numeric_level_bundle, tmp_path, capsys
+    ):
+        ds = binary_margin_dataset(30, seed=9)
+        longer = dataset_to_csv(Dataset(ds.feature_columns, None, None), tmp_path / "long.csv")
+        header, first = longer.read_text().splitlines()[:2]
+        one_row = tmp_path / "one.csv"
+        one_row.write_text(f"{header}\n{first}\n")
+        lines = {}
+        for name, data in (("long", longer), ("one", one_row)):
+            out = tmp_path / f"{name}-preds.csv"
+            code = main(["predict", "--model", str(numeric_level_bundle), "--data", str(data),
+                         "--out", str(out)])
+            assert code == 0
+            lines[name] = out.read_text().splitlines()
+        assert lines["one"] == lines["long"][:2]
+
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(f"{header}\n")
+        code = main(["predict", "--model", str(numeric_level_bundle), "--data", str(header_only),
+                     "--out", str(tmp_path / "none.csv")])
+        assert code == 2
+        assert "need at least 1 data row, found 0" in capsys.readouterr().err
+
+    def test_target_only_fit_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n" + "".join(f"{'ab'[i % 2]}\n" for i in range(20)))
+        out = tmp_path / "m.bundle"
+        code = main(["fit", "--data", str(data), "--target", "y", "--budget", "2",
+                     "--max-rounds", "5", "--out", str(out)])
+        assert code == 2
+        assert "dataset has no feature columns" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_regression_fit_predict_roundtrip(self, tmp_path):
+        train = dataset_to_csv(linear_regression_dataset(120, seed=3), tmp_path / "train.csv")
+        bundle = tmp_path / "model.bundle"
+        code = main(["fit", "--data", str(train), "--target", "y", "--budget", "4",
+                     "--max-rounds", "20", "--out", str(bundle)])
+        assert code == 0
+        features = Dataset(linear_regression_dataset(25, seed=4).feature_columns, None, None)
+        data = dataset_to_csv(features, tmp_path / "features.csv")
+        out = tmp_path / "preds.csv"
+        code = main(["predict", "--model", str(bundle), "--data", str(data), "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["prediction"]
+        assert [len(r) for r in rows[1:]] == [1] * 25
+        expected = autogbt_predict(load(bundle), features)
+        assert [float(r[0]) for r in rows[1:]] == expected.values.tolist()
+
+    def test_benchmark_regression_baseline_is_rmse_of_training_mean(self, tmp_path):
+        train_ds = linear_regression_dataset(120, seed=5)
+        test_ds = linear_regression_dataset(40, seed=6)
+        dataset_to_csv(train_ds, tmp_path / "train.csv")
+        dataset_to_csv(test_ds, tmp_path / "test.csv")
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            "line\ttrain.csv\ttest.csv\ty\trmse\n"
+        )
+        out = tmp_path / "report.tsv"
+        code = main([
+            "benchmark", "--spec", str(spec), "--reps", "1", "--bootstrap", "100",
+            "--size", "1", "--budget", "4", "--max-rounds", "20", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh, delimiter="\t"))
+        truth = test_ds.target_values()
+        mean = float(np.mean(train_ds.target_values()))
+        assert row["error"] == ""
+        assert float(row["baseline"]) == rmse(np.full(len(truth), mean), truth)
+        assert float(row["aggregated"]) < float(row["baseline"])
+
     def test_benchmark_command(self, csv_pair, tmp_path, capsys):
         base, train, test = csv_pair
         spec = tmp_path / "bench.tsv"
@@ -334,6 +411,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: autoboost {command} ")
         assert f"argument {flag}: expected an integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_non_finite_time_limit_is_a_usage_error(self, command, value, tmp_path, capsys):
+        required = {
+            "fit": ["--data", str(tmp_path / "d.csv"), "--target", "y"],
+            "benchmark": ["--spec", str(tmp_path / "bench.tsv")],
+        }[command]
+        out = tmp_path / "out"
+        # The = form, since argparse reads a bare -inf as an option.
+        assert main([command, *required, f"--time-limit={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: autoboost {command} ")
+        assert f"argument --time-limit: expected a finite number of seconds, got {value}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

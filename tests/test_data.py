@@ -117,6 +117,31 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="single level"):
             load_csv(p, target="y")
 
+    def test_binary_hint_with_three_labels_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,w\n")
+        with pytest.raises(DataError, match="binary target must have 2 levels, found 3"):
+            load_csv(p, target="y", task_hint="binary")
+
+    def test_multiclass_hint_with_two_labels_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,u\n")
+        with pytest.raises(DataError, match="multiclass target must have >=3 levels, found 2"):
+            load_csv(p, target="y", task_hint="multiclass")
+
+    def test_regression_hint_with_text_labels_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,u\n")
+        with pytest.raises(DataError, match="target column 'y' is not numeric, cannot regress"):
+            load_csv(p, target="y", task_hint="regression")
+
+    def test_ragged_row_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,0\n2\n3,1\n")
+        with pytest.raises(DataError, match="row 3 has 1 fields, expected 2"):
+            load_csv(p, target="y")
+
+    def test_duplicate_header_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,a,y\n1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="duplicate column names in header"):
+            load_csv(p, target="y")
+
 
 class TestDatasetInvariants:
     def test_levels_are_sorted_regardless_of_appearance(self):
@@ -143,8 +168,8 @@ class TestDatasetInvariants:
 class TestSplitHoldout:
     def test_round_rule(self, small_binary):
         d = small_binary.subset(np.arange(10))
-        sp = split_holdout(d, 0.2, seed=7)
-        assert sp.train.n_rows == 8 and sp.valid.n_rows == 2
+        train, valid = split_holdout(d, 0.2, seed=7)
+        assert train.n_rows == 8 and valid.n_rows == 2
 
     def test_stratified_balanced_binary_gets_one_of_each(self):
         # With 5 rows per class and 2 validation rows, every stratified
@@ -154,8 +179,8 @@ class TestSplitHoldout:
         x = np.arange(10.0)
         d = Dataset((Column("x", "numeric", x), Column("y", "categorical", y)), "y", "binary")
         for seed in range(30):
-            sp = split_holdout(d, 0.2, seed=seed, stratify=True)
-            labels = sp.valid.target_values().tolist()
+            _, valid = split_holdout(d, 0.2, seed=seed, stratify=True)
+            labels = valid.target_values().tolist()
             assert sorted(labels) == ["a", "b"]
 
     def test_fraction_bounds(self, small_binary):
@@ -174,21 +199,21 @@ class TestSplitHoldout:
             split_holdout(d, 0.2, seed=1, stratify=True)
 
     def test_split_is_pure(self, small_binary):
-        a = split_holdout(small_binary, 0.25, seed=42, stratify=True)
-        b = split_holdout(small_binary, 0.25, seed=42, stratify=True)
-        assert a.valid.target_values().tolist() == b.valid.target_values().tolist()
-        assert a.train.feature_columns[0].values.tolist() == b.train.feature_columns[0].values.tolist()
+        a_train, a_valid = split_holdout(small_binary, 0.25, seed=42, stratify=True)
+        b_train, b_valid = split_holdout(small_binary, 0.25, seed=42, stratify=True)
+        assert a_valid.target_values().tolist() == b_valid.target_values().tolist()
+        assert a_train.feature_columns[0].values.tolist() == b_train.feature_columns[0].values.tolist()
 
     def test_split_is_lossless(self):
         for seed in range(5):
             d = random_mixed_dataset(seed, n=23)
-            sp = split_holdout(d, 0.3, seed=seed, stratify=False)
+            train, valid = split_holdout(d, 0.3, seed=seed, stratify=False)
 
             def rows(ds):
                 cols = [c.values.tolist() for c in ds.columns]
                 return [tuple(str(v) for v in row) for row in zip(*cols)]
 
-            assert Counter(rows(sp.train)) + Counter(rows(sp.valid)) == Counter(rows(d))
+            assert Counter(rows(train)) + Counter(rows(valid)) == Counter(rows(d))
 
     def test_stratified_keeps_a_training_row_of_every_class(self):
         # 2 of 10 rows are "a": an 80% holdout's quota for "a" is 1.6, which
@@ -201,9 +226,9 @@ class TestSplitHoldout:
             "binary",
         )
         for seed in range(10):
-            sp = split_holdout(d, 0.8, seed=seed, stratify=True)
-            assert sp.valid.n_rows == 8
-            assert sorted(sp.train.target_values().tolist()) == ["a", "b"]
+            train, valid = split_holdout(d, 0.8, seed=seed, stratify=True)
+            assert valid.n_rows == 8
+            assert sorted(train.target_values().tolist()) == ["a", "b"]
 
     def test_stratified_holdout_that_must_take_a_whole_class_errors(self):
         # 9 of 10 rows in the holdout leave one training row for two classes.
@@ -215,14 +240,14 @@ class TestSplitHoldout:
         )
         with pytest.raises(DataError, match="no training row"):
             split_holdout(d, 0.9, seed=1, stratify=True)
-        assert split_holdout(d, 0.8, seed=1, stratify=True).valid.n_rows == 8
+        assert split_holdout(d, 0.8, seed=1, stratify=True)[1].n_rows == 8
 
     def test_stratified_proportions_within_one_row(self):
         d = binary_margin_dataset(97, seed=5)
-        sp = split_holdout(d, 0.2, seed=3, stratify=True)
-        n_valid = sp.valid.n_rows
+        _, valid = split_holdout(d, 0.2, seed=3, stratify=True)
+        n_valid = valid.n_rows
         y = d.target_values()
-        yv = sp.valid.target_values()
+        yv = valid.target_values()
         for c in d.classes:
             expected = n_valid * np.sum(y == c) / d.n_rows
             got = np.sum(yv == c)
@@ -292,9 +317,9 @@ class TestMajorityBaseline:
             d = random_mixed_dataset(seed, n=31)
             if d.task == "regression":
                 continue
-            sp = split_holdout(d, 0.3, seed=seed)
-            y_train = sp.train.target_values().astype(str)
+            train, valid = split_holdout(d, 0.3, seed=seed)
+            y_train = train.target_values().astype(str)
             labels, counts = np.unique(y_train, return_counts=True)
             predicted = labels[np.argmax(counts)]
-            freq = np.mean(sp.valid.target_values().astype(str) == predicted)
-            assert majority_baseline(sp.train, sp.valid) == pytest.approx(1.0 - freq, abs=1e-12)
+            freq = np.mean(valid.target_values().astype(str) == predicted)
+            assert majority_baseline(train, valid) == pytest.approx(1.0 - freq, abs=1e-12)

@@ -1,7 +1,9 @@
 """End-to-end pipeline: fit, predict, serialize, internal consistency."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +127,29 @@ class TestFit:
         assert model.measure == "logloss"
         assert model.thresholds is not None and model.thresholds.t[0] == 0.5
 
+    def test_multiclass_logloss_keeps_equal_thresholds(self, fitted_multiclass, tmp_path):
+        train, cfg, _ = fitted_multiclass
+        model = autogbt_fit(train, dataclasses.replace(cfg, measure="logloss"))
+        path = tmp_path / "mc.bundle"
+        save(model, path)
+        assert json.loads(path.read_text())["payload"]["thresholds"] == [1 / 3] * 3
+        loaded = load(path)
+        preds = autogbt_predict(loaded, train)
+        labels = [loaded.classes.index(label) for label in preds.labels]
+        assert labels == np.argmax(preds.probabilities, axis=1).tolist()
+
+    @pytest.mark.parametrize("deadline", [math.inf, math.nan])
+    def test_non_finite_deadline_errors_before_the_split(self, deadline):
+        # Four rows are too few to split, so only a check made before the
+        # split can report the deadline.
+        d = Dataset(
+            (Column("x", "numeric", np.arange(4.0)), Column("y", "numeric", np.arange(4.0))),
+            "y",
+            "regression",
+        )
+        with pytest.raises(ValueError, match="deadline must be a finite number of seconds"):
+            autogbt_fit(d, AutoConfig(budget=2, deadline=deadline, max_rounds=2))
+
 
 class TestPredict:
     def test_reproduces_fit_time_validation_predictions(self):
@@ -135,11 +160,11 @@ class TestPredict:
         cfg = AutoConfig(measure="logloss", seed=7, budget=4, deadline=60.0,
                          max_rounds=20, patience=4)
         model = autogbt_fit(train, cfg)
-        split = split_holdout(
+        _, valid = split_holdout(
             train, model.auto_config["valid_fraction"], model.auto_config["seed"], stratify=True
         )
-        preds = autogbt_predict(model, split.valid)
-        value = logloss(preds.probabilities, split.valid.class_indices(model.classes))
+        preds = autogbt_predict(model, valid)
+        value = logloss(preds.probabilities, valid.class_indices(model.classes))
         assert value == model.fit_report["objective_value"]
 
     def test_unseen_category_predicts_without_error(self, fitted_binary):
@@ -202,21 +227,21 @@ class TestPredict:
 class TestInternalConsistency:
     def test_incumbent_value_matches_reevaluation(self, fitted_binary):
         train, cfg, model = fitted_binary
-        split = split_holdout(
+        _, valid = split_holdout(
             train, model.auto_config["valid_fraction"], model.auto_config["seed"], stratify=True
         )
-        encoded = transform(model.encoders, split.valid)
+        encoded = transform(model.encoders, valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
         labels = apply_thresholds(probs, model.thresholds)
-        value = mmce(labels, split.valid.class_indices(model.classes))
+        value = mmce(labels, valid.class_indices(model.classes))
         assert value == model.fit_report["objective_value"]
 
     def test_thresholded_no_worse_than_argmax(self, fitted_binary):
         train, cfg, model = fitted_binary
-        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
-        encoded = transform(model.encoders, split.valid)
+        _, valid = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+        encoded = transform(model.encoders, valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
-        argmax_value = mmce(np.argmax(probs, axis=1), split.valid.class_indices(model.classes))
+        argmax_value = mmce(np.argmax(probs, axis=1), valid.class_indices(model.classes))
         assert model.fit_report["objective_value"] <= argmax_value
 
     def test_incumbent_value_is_minimum_of_history(self, fitted_binary):
@@ -246,11 +271,11 @@ class TestHoldoutLabels:
         train = rare_class_dataset()
         cfg = AutoConfig(seed=1, budget=4, deadline=60.0, max_rounds=20, patience=4)
         model = autogbt_fit(train, cfg)
-        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
-        assert "a" not in set(split.valid.target_values())
-        encoded = transform(model.encoders, split.valid)
+        _, valid = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+        assert "a" not in set(valid.target_values())
+        encoded = transform(model.encoders, valid)
         probs = gbt_predict(model.model, encoded.feature_matrix())
-        truth = np.asarray([model.classes.index(v) for v in split.valid.target_values()])
+        truth = np.asarray([model.classes.index(v) for v in valid.target_values()])
         value = mmce(apply_thresholds(probs, model.thresholds), truth)
         assert value == model.fit_report["objective_value"]
         assert value <= mmce(np.argmax(probs, axis=1), truth)
@@ -262,8 +287,8 @@ class TestHoldoutLabels:
         cfg = AutoConfig(seed=1, budget=4, deadline=60.0, max_rounds=5, valid_fraction=0.8)
         model = autogbt_fit(train, cfg)
         assert model.classes == ("a", "b", "c")
-        split = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
-        assert "a" in set(split.train.target_values())
+        train_split, _ = split_holdout(train, cfg.valid_fraction, cfg.seed, stratify=True)
+        assert "a" in set(train_split.target_values())
 
 
 def _rewrite_with_checksum(path, doc):
