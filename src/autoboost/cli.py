@@ -122,6 +122,19 @@ def _test_value(measure_name: str, model, test: Dataset) -> float:
     return logloss(preds.probabilities, test.class_indices(preds.classes))
 
 
+def _baseline(measure_name: str, train: Dataset, test: Dataset) -> float:
+    """The test measure of a constant model fitted to the training targets: the
+    training mean (rmse), majority class (mmce) or class frequencies (logloss)."""
+    if measure_name == "rmse":
+        truth = test.target_values()
+        return rmse(np.full(len(truth), float(np.mean(train.target_values()))), truth)
+    if measure_name == "mmce":
+        return majority_baseline(train, test)
+    classes = train.classes
+    prior = np.bincount(train.class_indices(classes), minlength=len(classes)) / train.n_rows
+    return logloss(np.tile(prior, (test.n_rows, 1)), test.class_indices(classes))
+
+
 def run_benchmark(
     tasks: list[BenchmarkTask],
     cfg: AutoConfig,
@@ -145,12 +158,7 @@ def run_benchmark(
             measure = resolve_measure(task.measure, train.task)
             test = load_csv(task.test_path, task.target, task_hint=train.task,
                             kinds=dict(train.feature_schema))
-            if train.task != "regression":
-                report.baseline = majority_baseline(train, test)
-            else:
-                mean_pred = float(np.mean(np.asarray(train.target_values(), dtype=np.float64)))
-                truth = np.asarray(test.target_values(), dtype=np.float64)
-                report.baseline = rmse(np.full(len(truth), mean_pred), truth)
+            report.baseline = _baseline(measure, train, test)
             for r in range(1, repetitions + 1):
                 run_cfg = dataclasses.replace(cfg, measure=measure, seed=seed + r)
                 model = autogbt_fit(train, run_cfg)

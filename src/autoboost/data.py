@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 TASKS = ("binary", "multiclass", "regression")
+KINDS = ("numeric", "categorical")
 
 NA_LEVEL = "__NA__"
 DEFAULT_NA_TOKENS = ("", "NA", "?")
@@ -54,7 +55,7 @@ class Column:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("numeric", "categorical"):
+        if self.kind not in KINDS:
             raise DataError(f"unknown column kind: {self.kind!r}")
         if self.kind == "numeric":
             object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -86,7 +87,7 @@ class Dataset:
     """Immutable tabular dataset.
 
     ``target`` may be None for prediction-time data that carries features
-    only; in that case ``task`` must be None as well.
+    only, and then ``task`` is None too. Only the shape is checked here.
     """
 
     columns: tuple[Column, ...]
@@ -107,22 +108,7 @@ class Dataset:
             return
         if self.task not in TASKS:
             raise DataError(f"unknown task: {self.task!r}")
-        tcol = self._column(self.target)
-        if tcol.kind == "numeric":
-            if np.isnan(tcol.values).any():
-                raise DataError("target column has missing values")
-            if self.task != "regression":
-                raise DataError(f"task {self.task!r} requires a categorical target")
-        else:
-            if self.task == "regression":
-                raise DataError("regression requires a numeric target")
-            # Subsets of a classification dataset may observe fewer levels
-            # than the task implies (e.g. a one-class test split); only more
-            # levels than the task allows is a hard error. Full-strength
-            # level-count checks happen at load time.
-            n_levels = len(tcol.levels)
-            if self.task == "binary" and n_levels > 2:
-                raise DataError(f"binary target must have 2 levels, found {n_levels}")
+        self._column(self.target)
 
     def _column(self, name: str) -> Column:
         for c in self.columns:
@@ -208,6 +194,9 @@ def load_csv(
         raise DataError(f"no such file: {path}")
     if task_hint is not None and task_hint not in TASKS:
         raise DataError(f"unknown task hint: {task_hint!r}")
+    for name, kind in (kinds or {}).items():
+        if kind not in KINDS:
+            raise DataError(f"column {name!r} has unknown kind {kind!r}, expected one of {KINDS}")
     na_set = set(na_tokens)
 
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -272,7 +261,8 @@ def _build_feature_column(
 def _build_target_column(
     name: str, cells: list[str], na_set: set[str], task_hint: str | None
 ) -> tuple[Column, str]:
-    """The target column and its task: the hint, else regression for a numeric
+    """The target column and its task: the hint, unchecked against the levels
+    (``check_target`` holds the training rules), else regression for a numeric
     target, binary for 2 levels and multiclass for 3 or more."""
     if any(c in na_set for c in cells):
         raise DataError(f"target column {name!r} has missing cells")
@@ -286,12 +276,26 @@ def _build_target_column(
     n_levels = len(column.levels)
     if task_hint is None and n_levels < 2:
         raise DataError(f"target column {name!r} has a single level")
-    task = task_hint or ("binary" if n_levels == 2 else "multiclass")
-    if task == "binary" and n_levels != 2:
-        raise DataError(f"binary target must have 2 levels, found {n_levels}")
-    if task == "multiclass" and n_levels < 3:
-        raise DataError(f"multiclass target must have >=3 levels, found {n_levels}")
-    return column, task
+    return column, task_hint or ("binary" if n_levels == 2 else "multiclass")
+
+
+def check_target(d: Dataset) -> None:
+    """Raise DataError unless the target can train its task: regression needs a
+    numeric target with no NaN, binary 2 levels and multiclass 3 or more."""
+    if d.target is None:
+        raise DataError("fitting requires a dataset with a target column")
+    column = d.target_column
+    if d.task == "regression":
+        if column.kind != "numeric":
+            raise DataError(f"regression requires a numeric target, {column.name!r} is categorical")
+        if np.isnan(column.values).any():
+            raise DataError(f"target column {column.name!r} has missing values")
+    elif column.kind != "categorical":
+        raise DataError(f"task {d.task!r} requires a categorical target, {column.name!r} is numeric")
+    elif d.task == "binary" and len(column.levels) != 2:
+        raise DataError(f"binary target must have 2 levels, found {len(column.levels)}")
+    elif d.task == "multiclass" and len(column.levels) < 3:
+        raise DataError(f"multiclass target must have >=3 levels, found {len(column.levels)}")
 
 
 def split_holdout(

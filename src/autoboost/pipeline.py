@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gbt
-from .data import DataError, Dataset, split_holdout
+from .data import DataError, Dataset, check_target, split_holdout
 from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
 from .metrics import logloss, resolve_measure, rmse
 from .smbo import decode_config, tune
@@ -107,8 +107,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     deployable pipeline.
     """
     cfg = cfg if cfg is not None else AutoConfig()
-    if d.target is None:
-        raise DataError("fitting requires a dataset with a target column")
+    check_target(d)
     if not math.isfinite(cfg.deadline):
         raise ValueError(f"deadline must be a finite number of seconds, got {cfg.deadline}")
     task = d.task

@@ -1,6 +1,7 @@
 """Bootstrap aggregation, benchmark harness, and the command-line interface."""
 
 import csv
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,42 @@ class TestRunBenchmark:
         assert unknown.run_values == []
         assert toy.error is None
         assert len(toy.run_values) == 1 and np.isfinite(toy.run_values[0])
+
+    def test_logloss_baseline_is_logloss_of_training_class_frequencies(self, tmp_path):
+        # Training frequencies are a: 9/12 and b: 3/12; the test labels are a, a, a, b.
+        train = tmp_path / "train.csv"
+        train.write_text("x,label\n" + "".join(f"{i},{'ab'[i >= 9]}\n" for i in range(12)))
+        test = tmp_path / "test.csv"
+        test.write_text("x,label\n0,a\n1,a\n2,a\n10,b\n")
+        tasks = [BenchmarkTask("prior", train, test, "label", "logloss")]
+        report = run_benchmark(tasks, FAST_CFG, repetitions=1, B=100, size=1, seed=1)
+        d = report.datasets[0]
+        assert d.error is None
+        assert d.baseline == pytest.approx(-(3 * math.log(0.75) + math.log(0.25)) / 4, rel=1e-12)
+
+    def test_test_files_missing_a_training_class_are_scored(self, csv_pair, tmp_path):
+        base, train, test = csv_pair
+        binary_test = binary_margin_dataset(90, seed=2)
+        yes = np.flatnonzero(binary_test.target_values() == "yes")
+        only_yes = dataset_to_csv(binary_test.subset(yes), tmp_path / "only-yes.csv")
+        labels = np.asarray(["a", "b", "c"] * 30, dtype=object)
+        x = np.tile([-3.0, 0.0, 3.0], 30) + np.random.default_rng(8).normal(0, 0.5, 90)
+        columns = (Column("x", "numeric", x), Column("y", "categorical", labels))
+        three = Dataset(columns, "y", "multiclass")
+        mc_train = dataset_to_csv(three.subset(np.arange(60)), tmp_path / "mc-train.csv")
+        no_c = np.flatnonzero(labels[60:] != "c") + 60
+        mc_test = dataset_to_csv(three.subset(no_c), tmp_path / "mc-no-c.csv")
+        tasks = [
+            BenchmarkTask("binary", train, only_yes, "label", "mmce"),
+            BenchmarkTask("multiclass", mc_train, mc_test, "y", "logloss"),
+        ]
+        report = run_benchmark(tasks, FAST_CFG, repetitions=1, B=100, size=1, seed=1)
+        for d in report.datasets:
+            assert d.error is None
+            assert d.baseline is not None and len(d.run_values) == 1
+        binary, multiclass = report.datasets
+        assert binary.baseline == 1.0  # the 100/100 training tie breaks to "no"
+        assert np.isfinite(multiclass.run_values[0])
 
     def test_report_formats(self, csv_pair):
         base, train, test = csv_pair

@@ -13,6 +13,7 @@ from autoboost.data import (
     majority_baseline,
     split_holdout,
 )
+from autoboost.pipeline import autogbt_fit
 
 from conftest import binary_margin_dataset, random_mixed_dataset
 
@@ -87,6 +88,11 @@ class TestLoadCsv:
         assert ds.columns[1].levels == ("__NA__",)
         assert np.isnan(ds.columns[3].values[1])
 
+    def test_unknown_kind_names_column_and_kind(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "x,y\n1,0\n2,1\n")
+        with pytest.raises(DataError, match="column 'x' has unknown kind 'categoric'"):
+            load_csv(p, target="y", kinds={"x": "categoric"})
+
     @pytest.mark.parametrize("cell", ["abc", "inf"])
     def test_text_in_numeric_kind_names_column_and_row(self, tmp_path, cell):
         p = write_csv(tmp_path / "d.csv", f"x,y\n1,0\n,1\n{cell},0\n")
@@ -119,13 +125,15 @@ class TestLoadCsv:
 
     def test_binary_hint_with_three_labels_errors(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,w\n")
+        d = load_csv(p, target="y", task_hint="binary")
         with pytest.raises(DataError, match="binary target must have 2 levels, found 3"):
-            load_csv(p, target="y", task_hint="binary")
+            autogbt_fit(d)
 
     def test_multiclass_hint_with_two_labels_errors(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,u\n")
+        d = load_csv(p, target="y", task_hint="multiclass")
         with pytest.raises(DataError, match="multiclass target must have >=3 levels, found 2"):
-            load_csv(p, target="y", task_hint="multiclass")
+            autogbt_fit(d)
 
     def test_regression_hint_with_text_labels_errors(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,y\n1,u\n2,v\n3,u\n")
@@ -154,7 +162,7 @@ class TestDatasetInvariants:
             Column("y", "categorical", np.asarray(["a", "b", "c"], dtype=object)),
         )
         with pytest.raises(DataError, match="2 levels"):
-            Dataset(cols, "y", "binary")
+            autogbt_fit(Dataset(cols, "y", "binary"))
 
     def test_unequal_lengths_error(self):
         cols = (

@@ -98,6 +98,26 @@ class TestFit:
         with pytest.raises(DataError, match="target"):
             autogbt_fit(d, AutoConfig(**FAST))
 
+    @pytest.mark.parametrize("kind, values, task, message", [
+        ("categorical", ["a"] * 6, "binary", "binary target must have 2 levels, found 1"),
+        ("categorical", ["a", "b", "c"] * 2, "binary", "binary target must have 2 levels, found 3"),
+        ("categorical", ["a", "b"] * 3, "multiclass",
+         "multiclass target must have >=3 levels, found 2"),
+        ("numeric", [0.0, 1.0] * 3, "binary", "task 'binary' requires a categorical target"),
+        ("categorical", ["a", "b"] * 3, "regression", "regression requires a numeric target"),
+        ("numeric", [0.5, np.nan, 1.5, 2.0, 2.5, 3.0], "regression", "has missing values"),
+    ], ids=["binary-1-level", "binary-3-levels", "multiclass-2-levels", "numeric-binary",
+            "categorical-regression", "regression-nan"])
+    def test_untrainable_target_errors_before_splitting(self, monkeypatch, kind, values, task,
+                                                        message):
+        def split_holdout(*args, **kwargs):
+            raise AssertionError("the target was not checked before the split")
+
+        monkeypatch.setattr("autoboost.pipeline.split_holdout", split_holdout)
+        cols = (Column("x", "numeric", np.arange(6.0)), Column("y", kind, np.asarray(values)))
+        with pytest.raises(DataError, match=message):
+            autogbt_fit(Dataset(cols, "y", task), AutoConfig(**FAST))
+
     def test_measure_task_mismatch_errors(self):
         train = binary_margin_dataset(100, seed=1)
         with pytest.raises(DataError, match="does not apply"):
