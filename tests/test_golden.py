@@ -129,19 +129,37 @@ def sphere(u):
     return float(np.sum((np.asarray(u) - 0.5) ** 2))
 
 
+def tuner_digest(budget, seed):
+    state = tune(sphere, budget=budget, n_init=16, seed=seed)
+    assert len(state.evaluated) == budget
+    return sha(b"".join(np.asarray(r.point, dtype="<f8").tobytes() for r in state.evaluated))
+
+
 @pytest.mark.parametrize("seed", sorted(TUNER_GOLDEN))
 def test_golden_tuner_proposals(seed):
-    state = tune(sphere, budget=24, n_init=16, seed=seed)
-    assert len(state.evaluated) == 24
-    points = b"".join(np.asarray(r.point, dtype="<f8").tobytes() for r in state.evaluated)
-    assert sha(points) == TUNER_GOLDEN[seed]
+    assert tuner_digest(24, seed) == TUNER_GOLDEN[seed]
+
+
+# The benchmark's tuning size: 16 design points, then 32 GP-guided proposals,
+# so the surrogate's kernel matrix grows to 47 x 47.
+TUNER_GOLDEN_BUDGET_48 = {
+    1: "fa7ac81727369720d5afcd908dc2030c3eacd228c1881fcdb214c1b7afe489e8",
+    2: "4791062db53a200026d7e2ace708a960a5c802fd3ce1e1b633e5f8d7e47da245",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TUNER_GOLDEN_BUDGET_48))
+def test_golden_tuner_proposals_at_budget_48(seed):
+    assert tuner_digest(48, seed) == TUNER_GOLDEN_BUDGET_48[seed]
 
 
 # The threshold optimizers alone: 200 seeded (prob, truth) cases each, half
 # with probabilities rounded to 2 decimals so cutoffs and ratios tie. The
 # digests cover the bytes of every returned cutoff or divisor vector and of
 # every value, so any change to the candidates, their order, the annealing
-# draws or a tie rule shows.
+# draws or a tie rule shows. "multiclass" draws 3 to 5 classes and
+# "multiclass_wide" 8 to 12: from 8 elements on, NumPy sums an array in
+# pairwise blocks, so only the wide cases pin the order of the normalizing sum.
 THRESHOLD_GOLDEN = {
     "binary": {
         "thresholds": "4480482cbf617fbcbfc1f790c7143c525bc4216d4c50f124c774c54aebff010b",
@@ -151,25 +169,33 @@ THRESHOLD_GOLDEN = {
         "thresholds": "bba1122784432bae3d66a487b57e9a6308ba5b2336ad9256ce58eb39224d5368",
         "values": "6f9d97f2cf58ad428ebab2371830f2c4b8fd723cfb2668aae7ac88be44c3829c",
     },
+    "multiclass_wide": {
+        "thresholds": "0be7a197aabfb0d319b1109832b4465e0e930ad76f0e3814b5a6ae19befeb9bb",
+        "values": "f99c8b68acb3cd15c3fa1b5915b14a13c3c33422671548ee3baa69796bd93331",
+    },
 }
 
 
-def threshold_case(seed, multiclass):
+CLASS_RANGES = {"binary": None, "multiclass": (3, 6), "multiclass_wide": (8, 13)}
+
+
+def threshold_case(seed, case):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 80))
-    k = int(rng.integers(3, 6)) if multiclass else 2
+    classes = CLASS_RANGES[case]
+    k = int(rng.integers(*classes)) if classes else 2
     prob = rng.dirichlet(np.ones(k), size=n)
     if seed % 2:
         prob = np.round(prob, 2)
     truth = rng.integers(0, k, size=n)
-    return (prob, truth) if multiclass else (prob[:, 1], truth)
+    return (prob, truth) if classes else (prob[:, 1], truth)
 
 
-def threshold_digests(multiclass):
+def threshold_digests(case):
     vectors, values = [], []
     for seed in range(200):
-        prob, truth = threshold_case(seed, multiclass)
-        if multiclass:
+        prob, truth = threshold_case(seed, case)
+        if CLASS_RANGES[case]:
             tv, value = optimize_multiclass_gsa(prob, truth, seed=seed)
         else:
             tv, value = optimize_binary(prob, truth)
@@ -180,4 +206,4 @@ def threshold_digests(multiclass):
 
 @pytest.mark.parametrize("case", sorted(THRESHOLD_GOLDEN))
 def test_golden_threshold_optimizers(case):
-    assert threshold_digests(case == "multiclass") == THRESHOLD_GOLDEN[case]
+    assert threshold_digests(case) == THRESHOLD_GOLDEN[case]
