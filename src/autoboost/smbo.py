@@ -5,6 +5,12 @@ Gaussian process surrogate with an anisotropic Matern-5/2 kernel on
 standardized objective values, and expected improvement maximized over seeded
 random candidates plus coordinate-wise local refinement. Parameters marked
 log2 decode as 2^raw; integers round half away from zero.
+
+A fit evaluates the likelihood thousands of times on kernel matrices of
+under 50 x 50, where call overhead outweighs the arithmetic. So the
+likelihood factors with LAPACK's dpotrf and solves with dpotrs directly
+(the routines behind scipy.linalg.cholesky and cho_solve, without their
+input checks), and each fit computes the point differences once.
 """
 
 from __future__ import annotations
@@ -93,31 +99,45 @@ def _matern52(t: np.ndarray) -> np.ndarray:
     return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
-def _kernel_parts(A: np.ndarray, B: np.ndarray, ell: np.ndarray):
-    """Squared scaled differences S and t = sqrt(5) * scaled distance, A against B."""
-    diff = (A[:, None, :] - B[None, :, :]) / ell
+def _kernel_parts(D: np.ndarray, ell: np.ndarray):
+    """Squared scaled differences S and t = sqrt(5) * scaled distance.
+
+    ``D`` holds the coordinate differences of two point sets,
+    ``A[:, None, :] - B[None, :, :]``.
+    """
+    diff = D / ell
     S = diff * diff
     T = _SQRT5 * np.sqrt(S.sum(axis=-1))
     return S, T
 
 
-def _nll_and_grad(theta: np.ndarray, X: np.ndarray, z: np.ndarray, noise: float):
-    """Negative log marginal likelihood and its gradient in log parameters."""
-    n, d = X.shape
+def _cholesky(K: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of K from LAPACK's dpotrf, or None if K is not positive definite."""
+    L, info = scipy.linalg.lapack.dpotrf(K, lower=1, clean=1)
+    return L if info == 0 else None
+
+
+def _nll_and_grad(theta: np.ndarray, D: np.ndarray, z: np.ndarray, noise: float):
+    """Negative log marginal likelihood and its gradient in log parameters.
+
+    ``D`` is the difference tensor of the training points against
+    themselves, computed once per fit. A kernel matrix that LAPACK cannot
+    factor scores 1e25 with a zero gradient.
+    """
+    n, _, d = D.shape
     ell = np.exp(theta[:d])
     sf2 = np.exp(theta[d])
-    S, T = _kernel_parts(X, X, ell)
+    S, T = _kernel_parts(D, ell)
     E = np.exp(-T)
     M = (1.0 + T + T * T / 3.0) * E
     K = sf2 * M
     K[np.diag_indices(n)] += noise
-    try:
-        L = scipy.linalg.cholesky(K, lower=True)
-    except np.linalg.LinAlgError:
+    L = _cholesky(K)
+    if L is None:
         return 1e25, np.zeros(d + 1)
-    alpha = scipy.linalg.cho_solve((L, True), z)
+    alpha, _ = scipy.linalg.lapack.dpotrs(L, z, lower=1)
     nll = 0.5 * float(z @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * n * math.log(2 * math.pi)
-    K_inv = scipy.linalg.cho_solve((L, True), np.eye(n))
+    K_inv, _ = scipy.linalg.lapack.dpotrs(L, np.eye(n), lower=1)
     A = np.outer(alpha, alpha) - K_inv
     grad = np.empty(d + 1)
     # dK/dlog(ell_i) = (5/3) (1+T) exp(-T) sf2 * S_i, dK/dlog(sf2) = sf2 * M.
@@ -147,7 +167,7 @@ class GPSurrogate:
     def posterior(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and sd of the latent objective, destandardized."""
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        _, t = _kernel_parts(P, self.X, self.length_scales)
+        _, t = _kernel_parts(P[:, None, :] - self.X[None, :, :], self.length_scales)
         Ks = self.signal_var * _matern52(t)
         mu = self.y_mean + self.y_std * (Ks @ self._alpha)
         V = scipy.linalg.solve_triangular(self._chol, Ks.T, lower=True)
@@ -193,10 +213,11 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
     ]))
 
     # _nll_and_grad returns 1e25 or a finite value, so the first start sets best_theta.
+    D = X[:, None, :] - X[None, :, :]
     best_theta, best_nll = None, np.inf
     for theta0 in starts:
         res = scipy.optimize.minimize(
-            _nll_and_grad, theta0, args=(X, z, _NUGGET_FLOOR),
+            _nll_and_grad, theta0, args=(D, z, _NUGGET_FLOOR),
             method="L-BFGS-B", jac=True, bounds=bounds,
             options={"maxiter": 50, "gtol": 1e-4},
         )
@@ -205,20 +226,19 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
 
     ell = np.exp(best_theta[:d])
     sf2 = float(np.exp(best_theta[d]))
-    _, T = _kernel_parts(X, X, ell)
+    _, T = _kernel_parts(D, ell)
     M = _matern52(T)
     noise = _NUGGET_FLOOR
     while True:
         K = sf2 * M
         K[np.diag_indices(n)] += noise
-        try:
-            L = scipy.linalg.cholesky(K, lower=True)
+        L = _cholesky(K)
+        if L is not None:
             break
-        except np.linalg.LinAlgError:
-            noise *= 10.0
-            if noise > _NUGGET_CAP:
-                raise TuneError("kernel matrix singular even at maximum nugget") from None
-    alpha = scipy.linalg.cho_solve((L, True), z)
+        noise *= 10.0
+        if noise > _NUGGET_CAP:
+            raise TuneError("kernel matrix singular even at maximum nugget")
+    alpha, _ = scipy.linalg.lapack.dpotrs(L, z, lower=1)
     return GPSurrogate(X, y_mean, y_std, ell, sf2, noise, _chol=L, _alpha=alpha)
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import mmce
-
 _POSITIVE_FLOOR = 1e-6
 # Binary linesearch: a grid of _N_STEPS cutoffs in _N_STARTS windows.
 _N_STEPS = 100
@@ -120,7 +118,7 @@ def _visiting_temperature(i: int) -> float:
     return _TEMP0 * (2.0 ** (_Q_V - 1.0) - 1.0) / ((1.0 + i) ** (_Q_V - 1.0) - 1.0)
 
 
-def _tsallis_step(rng, size: int) -> np.ndarray:
+def _tsallis_step(rng, size: int) -> list[float]:
     """Heavy-tailed visiting sample via the Student-t representation.
 
     A q-Gaussian with shape q equals a Student-t with nu = (3-q)/(q-1)
@@ -128,9 +126,9 @@ def _tsallis_step(rng, size: int) -> np.ndarray:
     heavy tails that let the annealer make occasional long jumps.
     """
     nu = (3.0 - _Q_V) / (_Q_V - 1.0)
-    normal = rng.standard_normal(size)
-    chi2 = rng.chisquare(nu, size)
-    return normal * np.sqrt(nu / np.maximum(chi2, 1e-300))
+    normal = rng.standard_normal(size).tolist()
+    chi2 = rng.chisquare(nu, size).tolist()
+    return [g * math.sqrt(nu / max(c, 1e-300)) for g, c in zip(normal, chi2)]
 
 
 def optimize_multiclass_gsa(
@@ -146,35 +144,42 @@ def optimize_multiclass_gsa(
     proposal back onto the open simplex, and accepts worse states with
     probability exp(-delta / T_a) where T_a = T_v(i)/(i+1). Best-ever state
     and value are returned; the run is deterministic per (non-negative) seed.
+
+    The step and the clamp run on Python floats; the normalizing total is
+    NumPy's sum of the clamped proposal, so it keeps NumPy's summation order.
+    A state is scored by counting the rows whose label differs, which gives
+    the same float as ``metrics.mmce``.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    if prob.ndim != 2 or prob.shape[1] < 3:
-        raise ValueError("multiclass threshold optimization needs an (n, K>=3) matrix")
+    if prob.ndim != 2 or prob.shape[0] == 0 or prob.shape[1] < 3:
+        raise ValueError("multiclass threshold optimization needs a non-empty (n, K>=3) matrix")
+    n, k = prob.shape
     truth = np.asarray(truth)
-    k = prob.shape[1]
+    if truth.shape != (n,):
+        raise ValueError(f"need a 1-D truth vector of {n} entries, got shape {truth.shape}")
     rng = np.random.default_rng(seed)
 
     def evaluate(state: np.ndarray) -> float:
-        return float(mmce(np.argmax(prob / state, axis=1), truth))
+        return int(np.count_nonzero((prob / state).argmax(axis=1) != truth)) / n
 
-    current = np.full(k, 1.0 / k)
-    current = current / current.sum()
-    current_value = evaluate(current)
-    best_state, best_value = current.copy(), current_value
+    start = np.full(k, 1.0 / k)
+    start = start / start.sum()
+    current, current_value = start.tolist(), evaluate(start)
+    best_state, best_value = start, current_value
 
     for i in range(1, _GSA_ITERS + 1):
         t_visit = _visiting_temperature(i)
-        proposal = current + t_visit * _tsallis_step(rng, k)
-        proposal = np.maximum(proposal, _POSITIVE_FLOOR)
-        proposal = proposal / proposal.sum()
+        step = _tsallis_step(rng, k)
+        proposal = np.array([max(c + t_visit * s, _POSITIVE_FLOOR) for c, s in zip(current, step)])
+        proposal /= proposal.sum()
         value = evaluate(proposal)
         if value < best_value:
-            best_state, best_value = proposal.copy(), value
+            best_state, best_value = proposal, value
         accept = value <= current_value
         if not accept:
             t_accept = t_visit / (i + 1.0)
             accept = rng.uniform() < math.exp(-(value - current_value) / max(t_accept, 1e-300))
         if accept:
-            current, current_value = proposal, value
+            current, current_value = proposal.tolist(), value
 
     return ThresholdVector(best_state), best_value

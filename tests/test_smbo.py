@@ -106,14 +106,25 @@ class TestGP:
         y = rng.normal(size=9)
         z = (y - y.mean()) / y.std()
         theta = np.concatenate([rng.uniform(-1.0, 0.5, size=4), [0.3]])
-        nll, grad = _nll_and_grad(theta, X, z, 1e-8)
+        D = X[:, None, :] - X[None, :, :]
+        nll, grad = _nll_and_grad(theta, D, z, 1e-8)
         for j in range(len(theta)):
             step = np.zeros_like(theta)
             step[j] = 1e-6
-            up, _ = _nll_and_grad(theta + step, X, z, 1e-8)
-            dn, _ = _nll_and_grad(theta - step, X, z, 1e-8)
+            up, _ = _nll_and_grad(theta + step, D, z, 1e-8)
+            dn, _ = _nll_and_grad(theta - step, D, z, 1e-8)
             fd = (up - dn) / 2e-6
             assert abs(fd - grad[j]) / max(abs(fd), 1e-6) < 1e-4
+
+    def test_nll_penalizes_a_kernel_that_cannot_be_factored(self):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(9, 4))
+        z = rng.normal(size=9)
+        theta = np.concatenate([rng.uniform(-1.0, 0.5, size=4), [0.3]])
+        # A negative nugget leaves the diagonal at exp(0.3) - 2 < 0.
+        nll, grad = _nll_and_grad(theta, X[:, None, :] - X[None, :, :], z, -2.0)
+        assert nll == 1e25
+        np.testing.assert_array_equal(grad, np.zeros(5))
 
     def test_too_few_points_error(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -160,6 +160,7 @@ class TestOptimizeMulticlassGsa:
         truth = np.asarray([0, 1, 2])
         _, value = optimize_multiclass_gsa(prob, truth, seed=1)
         assert value == 0.0
+        assert type(value) is float
 
     def test_rare_class_beats_argmax_and_matches_grid_oracle(self):
         prob, truth = rare_class_case(7)
@@ -182,3 +183,15 @@ class TestOptimizeMulticlassGsa:
     def test_requires_three_classes(self):
         with pytest.raises(ValueError, match="K>=3"):
             optimize_multiclass_gsa(np.asarray([[0.4, 0.6]]), np.asarray([0]))
+
+    def test_requires_rows(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            optimize_multiclass_gsa(np.empty((0, 3)), np.empty(0, dtype=int))
+
+    # Lengths n - 1 and 1, and n entries as a column: a length-1 truth would
+    # otherwise broadcast against every row.
+    @pytest.mark.parametrize("cut", [slice(4), slice(1), (slice(5), None)])
+    def test_truth_must_hold_one_entry_per_row(self, cut):
+        prob, truth = rare_class_case(5)
+        with pytest.raises(ValueError, match="1-D truth vector of 5 entries"):
+            optimize_multiclass_gsa(prob[:5], truth[cut], seed=1)
