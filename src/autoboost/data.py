@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ def level_codes(values, levels) -> np.ndarray:
     """
     index = {level: i for i, level in enumerate(levels)}
     absent = len(levels)
-    return np.fromiter((index.get(v, absent) for v in values), dtype=np.intp, count=len(values))
+    return np.fromiter(map(index.get, values, repeat(absent)), dtype=np.intp, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ class Column:
         if self.kind == "numeric":
             object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         else:
-            object.__setattr__(
-                self, "values", np.asarray([str(v) for v in self.values], dtype=object)
-            )
+            object.__setattr__(self, "values", np.asarray(list(map(str, self.values)), dtype=object))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -179,7 +178,7 @@ def load_csv(
     na_tokens: tuple[str, ...] = DEFAULT_NA_TOKENS,
     kinds: dict[str, str] | None = None,
 ) -> Dataset:
-    """Load an RFC-4180 CSV file (header row mandatory, UTF-8) into a Dataset.
+    """Load an RFC-4180 CSV file (header row mandatory, UTF-8, optional BOM) into a Dataset.
 
     A feature named in ``kinds`` (say, the fit-time schema) gets the kind it
     maps to, and text in a numeric one raises DataError. Other columns whose
@@ -199,30 +198,34 @@ def load_csv(
             raise DataError(f"column {name!r} has unknown kind {kind!r}, expected one of {KINDS}")
     na_set = set(na_tokens)
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        rows = list(reader)
+        # One row-major list of all fields, so no row list outlives its line.
+        fields, widths = [], []
+        for row in reader:
+            fields += row
+            widths.append(len(row))
 
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
     if target is not None and target not in header:
         raise DataError(f"{path}: target column {target!r} not in header")
-    if target is not None and len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    if not rows:
+    if target is not None and len(widths) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {len(widths)}")
+    if not widths:
         raise DataError(f"{path}: need at least 1 data row, found 0")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
+    if set(widths) != {len(header)}:
+        i, width = next((i, w) for i, w in enumerate(widths) if w != len(header))
+        raise DataError(f"{path}: row {i + 2} has {width} fields, expected {len(header)}")
 
     columns = []
     task = None
     for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
+        cells = fields[j::len(header)]
         if name == target:
             column, task = _build_target_column(name, cells, na_set, task_hint)
         else:
@@ -235,14 +238,16 @@ def load_csv(
 def _numeric_values(cells: list[str], na_set: set[str]) -> np.ndarray | None:
     """The cells as floats, NaN where missing, or None if the column is not numeric.
 
-    A column is numeric when every present cell parses as a finite number.
+    A column is numeric when every present cell parses as a finite number:
+    missing cells parse as NaN, so every non-finite value must be a missing cell.
     """
-    missing = [c in na_set for c in cells]
+    as_nan = dict.fromkeys(na_set, "nan")
     try:
-        values = np.asarray([np.nan if m else float(c) for c, m in zip(cells, missing)])
+        values = np.fromiter(map(float, map(as_nan.get, cells, cells)), np.float64, count=len(cells))
     except ValueError:
         return None
-    return values if np.all(np.isfinite(values) | np.asarray(missing)) else None
+    non_finite = np.flatnonzero(~np.isfinite(values)).tolist()
+    return values if na_set.issuperset(map(cells.__getitem__, non_finite)) else None
 
 
 def _build_feature_column(
@@ -254,8 +259,8 @@ def _build_feature_column(
     if kind == "numeric":
         row = next(i for i, c in enumerate(cells) if _numeric_values([c], na_set) is None)
         raise DataError(f"feature {name!r} is numeric, row {row + 2} holds {cells[row]!r}")
-    values = np.asarray([NA_LEVEL if c in na_set else c for c in cells], dtype=object)
-    return Column(name, "categorical", values)
+    as_level = dict.fromkeys(na_set, NA_LEVEL)
+    return Column(name, "categorical", list(map(as_level.get, cells, cells)))
 
 
 def _build_target_column(
@@ -264,7 +269,7 @@ def _build_target_column(
     """The target column and its task: the hint, unchecked against the levels
     (``check_target`` holds the training rules), else regression for a numeric
     target, binary for 2 levels and multiclass for 3 or more."""
-    if any(c in na_set for c in cells):
+    if not na_set.isdisjoint(cells):
         raise DataError(f"target column {name!r} has missing cells")
     values = _numeric_values(cells, na_set)
     if task_hint == "regression" or (task_hint is None and values is not None):
@@ -272,7 +277,7 @@ def _build_target_column(
             raise DataError(f"target column {name!r} is not numeric, cannot regress")
         return Column(name, "numeric", values), "regression"
     # Classification targets keep their literal string labels, numeric-looking or not.
-    column = Column(name, "categorical", np.asarray(cells, dtype=object))
+    column = Column(name, "categorical", cells)
     n_levels = len(column.levels)
     if task_hint is None and n_levels < 2:
         raise DataError(f"target column {name!r} has a single level")

@@ -1,14 +1,18 @@
 """Dataset container, CSV loading, splitting, and the majority baseline."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autoboost.data import (
     Column,
     DataError,
     Dataset,
+    _numeric_values,
     load_csv,
     majority_baseline,
     split_holdout,
@@ -73,6 +77,27 @@ class TestLoadCsv:
         assert ds.feature_columns[0].kind == "numeric"
         assert np.isnan(ds.feature_columns[0].values[1])
 
+    def test_numeric_na_token_is_missing_not_its_number(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,0\n-999,1\n3,0\n")
+        col = load_csv(p, target="y", na_tokens=("-999",)).feature_columns[0]
+        assert col.kind == "numeric"
+        assert np.isnan(col.values[1]) and col.values.tolist()[::2] == [1.0, 3.0]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_present_non_finite_cell_makes_column_categorical(self, tmp_path, cell):
+        p = write_csv(tmp_path / "d.csv", f"a,y\n1,0\n{cell},1\n,0\n")
+        col = load_csv(p, target="y").feature_columns[0]
+        assert col.kind == "categorical"
+        assert col.values.tolist() == ["1", cell, "__NA__"]
+
+    def test_utf8_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,y\n1,u\n2,v\n3,u\n")
+        ds = load_csv(p, target="a")
+        assert [c.name for c in ds.columns] == ["a", "y"]
+        assert ds.task == "regression"
+        assert ds.target_values().tolist() == [1.0, 2.0, 3.0]
+
     def test_target_none_loads_features_only(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,b\n1,x\n2,y\n")
         ds = load_csv(p, target=None)
@@ -95,6 +120,12 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("cell", ["abc", "inf"])
     def test_text_in_numeric_kind_names_column_and_row(self, tmp_path, cell):
+        p = write_csv(tmp_path / "d.csv", f"x,y\n1,0\n,1\n{cell},0\n")
+        with pytest.raises(DataError, match=f"feature 'x' is numeric, row 4 holds '{cell}'"):
+            load_csv(p, target="y", kinds={"x": "numeric"})
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_text_in_numeric_kind_names_column_and_row(self, tmp_path, cell):
         p = write_csv(tmp_path / "d.csv", f"x,y\n1,0\n,1\n{cell},0\n")
         with pytest.raises(DataError, match=f"feature 'x' is numeric, row 4 holds '{cell}'"):
             load_csv(p, target="y", kinds={"x": "numeric"})
@@ -145,10 +176,56 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3 has 1 fields, expected 2"):
             load_csv(p, target="y")
 
+    def test_first_ragged_row_is_named(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,0\n2\n3,1\n4\n")
+        with pytest.raises(DataError, match="row 3 has 1 fields, expected 2"):
+            load_csv(p, target="y")
+
+    def test_row_longer_than_header_errors(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "a,y\n1,0\n2,1\n3,0,9\n")
+        with pytest.raises(DataError, match="row 4 has 3 fields, expected 2"):
+            load_csv(p, target="y")
+
     def test_duplicate_header_errors(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,a,y\n1,2,0\n3,4,1\n")
         with pytest.raises(DataError, match="duplicate column names in header"):
             load_csv(p, target="y")
+
+
+def reference_numeric_values(cells, na_set):
+    """The cell-by-cell parse: NaN for a missing cell, else ``float(cell)``,
+    and None when a present cell is not a finite number."""
+    values = []
+    for c in cells:
+        if c in na_set:
+            values.append(math.nan)
+            continue
+        try:
+            v = float(c)
+        except ValueError:
+            return None
+        if not math.isfinite(v):
+            return None
+        values.append(v)
+    return np.asarray(values, dtype=np.float64)
+
+
+CELL_TEXTS = ["", "NA", "?", "-999", "1", "-2.5", "1e3", " 7 ", "1_0", "nan", "inf", "-inf", "abc"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from(CELL_TEXTS), min_size=1, max_size=12),
+    st.sets(st.sampled_from(CELL_TEXTS)),
+)
+def test_numeric_parse_matches_cell_by_cell_reference(cells, na_set):
+    expected = reference_numeric_values(cells, na_set)
+    got = _numeric_values(cells, na_set)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestDatasetInvariants:

@@ -12,11 +12,13 @@ any change in split choice, RNG draws, leaf weights or tuning order shows up
 as a different digest.
 """
 
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
+from autoboost.cli import main
 from autoboost.data import Column, Dataset
 from autoboost.pipeline import AutoConfig, _canonical, _to_payload, autogbt_fit, autogbt_predict
 from autoboost.smbo import tune
@@ -113,6 +115,48 @@ GOLDEN = {
 )
 def test_golden_digests(case, classes):
     assert digests(classes) == GOLDEN[case]
+
+
+# Through the files: ``autoboost fit`` reads a CSV and ``autoboost predict``
+# writes one, so this digest pins CSV parsing, column kind inference and the
+# predictions writer on top of the fit. The cells hold every default NA token
+# (``""``, ``NA`` and ``?``), a quoted level with a comma in it, and the
+# scoring file holds levels the fit never saw. Its budget of 6 stays inside
+# the initial design; the cases above pin the GP-guided steps.
+CSV_LEVELS = ["north", "south", "east, inner", "west"]
+CSV_GOLDEN = "c97c438454d6e198e28813d08236b6c93ab50d66b6d1d6268ba84047b67177c6"
+
+
+def write_mixed_csv(path, n, seed, with_target):
+    rng = np.random.default_rng(seed)
+    na = ["", "NA", "?"]
+    zones = CSV_LEVELS + ([] if with_target else ["unseen", "far, away"])
+    lvs = LEVELS + ([] if with_target else ["lv99"])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "zone", "y", "x2", "lv"] if with_target else ["x1", "zone", "x2", "lv"])
+        for i in range(n):
+            x1, x2, noise = rng.normal(size=3)
+            zone = zones[int(rng.integers(len(zones)))]
+            lv = lvs[int(rng.integers(len(lvs)))]
+            label = "abc"[int(np.digitize(x1 + 0.5 * x2 + 0.3 * noise, [-0.5, 0.5]))]
+            cells = [f"{x1:.4f}", zone, f"{x2:.3f}", lv]
+            if rng.uniform() < 0.3:
+                cells[int(rng.integers(4))] = na[i % 3]
+            if with_target:
+                cells.insert(2, label)
+            writer.writerow(cells)
+    return path
+
+
+def test_golden_csv_fit_predict(tmp_path):
+    train = write_mixed_csv(tmp_path / "train.csv", 150, seed=51, with_target=True)
+    score = write_mixed_csv(tmp_path / "score.csv", 90, seed=52, with_target=False)
+    bundle, out = tmp_path / "model.bundle", tmp_path / "preds.csv"
+    assert main(["fit", "--data", str(train), "--target", "y", "--budget", "6",
+                 "--max-rounds", "12", "--seed", "3", "--out", str(bundle)]) == 0
+    assert main(["predict", "--model", str(bundle), "--data", str(score), "--out", str(out)]) == 0
+    assert sha(out.read_bytes()) == CSV_GOLDEN
 
 
 # The tuner alone: 16 design points, then 8 GP-guided proposals on the
