@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, load_csv, majority_baseline
+from .data import DataError, Dataset, load_csv, majority_baseline, open_text
 from .metrics import MEASURES, logloss, mmce, resolve_measure, rmse
 from .pipeline import AutoConfig, BundleError, autogbt_fit, autogbt_predict, load, save
 from .smbo import TuneError, history_csv
@@ -175,11 +175,9 @@ def read_benchmark_spec(path: str | Path) -> list[BenchmarkTask]:
     Relative dataset paths resolve against the spec file's directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such benchmark spec: {path}")
     base = path.parent
     tasks = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, "benchmark spec") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
         required = {"name", "train_path", "test_path", "target", "measure"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -171,6 +172,24 @@ class Dataset:
         return codes
 
 
+@contextmanager
+def open_text(path: Path, what: str):
+    """Open ``path`` for the csv module as UTF-8 text, skipping a byte-order mark.
+
+    A file that is absent, cannot be opened or read, or is not UTF-8 raises
+    DataError naming it as ``what``, also while the caller reads it.
+    """
+    try:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise DataError(f"no such {what}: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def load_csv(
     path: str | Path,
     target: str | None,
@@ -189,8 +208,6 @@ def load_csv(
     hold a single row; a file with a target needs two.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     if task_hint is not None and task_hint not in TASKS:
         raise DataError(f"unknown task hint: {task_hint!r}")
     for name, kind in (kinds or {}).items():
@@ -198,17 +215,16 @@ def load_csv(
             raise DataError(f"column {name!r} has unknown kind {kind!r}, expected one of {KINDS}")
     na_set = set(na_tokens)
 
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, "file") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+        header = next(reader, None)
         # One row-major list of all fields, so no row list outlives its line.
         fields, widths = [], []
         for row in reader:
             fields += row
             widths.append(len(row))
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
 
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")

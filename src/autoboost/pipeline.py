@@ -26,7 +26,7 @@ from .data import DataError, Dataset, check_target, split_holdout
 from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
 from .metrics import logloss, resolve_measure, rmse
 from .smbo import decode_config, tune
-from .threshold import ThresholdVector, apply_thresholds, optimize_binary, optimize_multiclass_gsa
+from .threshold import apply_thresholds, optimize_binary, optimize_multiclass_gsa
 
 FORMAT_NAME = "autoboost-pipeline"
 FORMAT_VERSION = 4
@@ -71,7 +71,7 @@ class PipelineModel:
 
     encoders: EncoderModel
     model: gbt.BoostedModel
-    thresholds: ThresholdVector | None
+    thresholds: np.ndarray | None
     task: str
     classes: tuple[str, ...] | None
     measure: str
@@ -141,7 +141,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
         gcfg = _gbt_config(params, cfg)
         model = gbt.train(x_train, y_train, x_valid, y_valid, task, n_classes, gcfg, measure)
         preds = gbt.predict(model, x_valid)
-        thresholds: ThresholdVector | None = None
+        thresholds: np.ndarray | None = None
         if not classification:
             value = rmse(preds, y_valid)
         elif measure == "logloss":
@@ -182,10 +182,10 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     )
 
 
-def _default_thresholds(task: str, n_classes: int) -> ThresholdVector:
+def _default_thresholds(task: str, n_classes: int) -> np.ndarray:
     if task == "binary":
-        return ThresholdVector(np.asarray([0.5]))
-    return ThresholdVector(np.full(n_classes, 1.0 / n_classes))
+        return np.asarray([0.5])
+    return np.full(n_classes, 1.0 / n_classes)
 
 
 def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
@@ -268,7 +268,7 @@ def _to_payload(p: PipelineModel) -> dict:
         "measure": p.measure,
         "encoders": _encoders_to_list(p.encoders),
         "model": _model_to_dict(p.model),
-        "thresholds": p.thresholds.t.tolist() if p.thresholds is not None else None,
+        "thresholds": p.thresholds.tolist() if p.thresholds is not None else None,
         "auto_config": p.auto_config,
         "history": p.history,
         "fit_report": p.fit_report,
@@ -280,7 +280,7 @@ def _from_payload(payload: dict) -> PipelineModel:
     return PipelineModel(
         encoders=_encoders_from_list(payload["encoders"]),
         model=_model_from_dict(payload["model"]),
-        thresholds=ThresholdVector(np.asarray(thresholds)) if thresholds is not None else None,
+        thresholds=np.asarray(thresholds, dtype=np.float64) if thresholds is not None else None,
         task=payload["task"],
         classes=tuple(payload["classes"]) if payload["classes"] is not None else None,
         measure=payload["measure"],
@@ -313,10 +313,12 @@ def save(p: PipelineModel, path: str | Path) -> None:
 def load(path: str | Path) -> PipelineModel:
     """Read a bundle back; a bad file, checksum, version or payload raises BundleError."""
     path = Path(path)
-    if not path.exists():
-        raise BundleError(f"no such bundle: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise BundleError(f"no such bundle: {path}") from None
+    except OSError as exc:
+        raise BundleError(f"cannot read bundle {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError(f"corrupt bundle, checksum cannot be verified: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -360,11 +362,16 @@ def _check_parts(p: PipelineModel) -> None:
         n_classes = len(p.classes) if p.classes is not None else 0
         if n_classes < 2 or (p.task == "binary" and n_classes != 2):
             fail(f"{n_classes} classes for a {p.task} task")
-        # One output and one threshold per class for multiclass, else one.
+        # One output and one positive divisor per class for multiclass, else
+        # one output and a cutoff in (0, 1).
         n_out = n_classes if p.task == "multiclass" else 1
-        given = len(p.thresholds) if p.thresholds is not None else 0
-        if given != n_out:
-            fail(f"{given} thresholds for a {p.task} task over {n_classes} classes")
+        t = p.thresholds
+        if t is None or t.shape != (n_out,):
+            fail(f"thresholds {t} for a {p.task} task over {n_classes} classes")
+        if p.task == "binary" and not 0.0 < t[0] < 1.0:
+            fail(f"binary cutoff {t[0]} outside (0, 1)")
+        if p.task == "multiclass" and not np.all(t > 0.0):
+            fail(f"multiclass divisors {t.tolist()} are not all positive")
     if m.base_score.shape != ((n_out,) if p.task == "multiclass" else ()):
         fail(f"base score of shape {m.base_score.shape} for {n_out} outputs")
     if not 1 <= m.best_iteration <= len(m.rounds):

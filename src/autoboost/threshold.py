@@ -10,7 +10,6 @@ they can never return something worse than plain argmax / 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,56 +23,25 @@ _Q_V = 2.62
 _TEMP0 = 1.0
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
-    """Length-1 cutoff for binary tasks, K positive divisors for multiclass.
+def apply_thresholds(prob: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Turn an (n, K) matrix of row-stochastic probabilities into class indices.
 
-    Multiclass vectors are normalized to sum 1 at construction; the decision
-    rule argmax_k p_k / t_k is invariant to that scaling anyway.
-    """
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64).ravel()
-        if t.size == 0:
-            raise ValueError("threshold vector must not be empty")
-        if t.size == 1:
-            if not (0.0 < t[0] < 1.0):
-                raise ValueError(f"binary threshold must lie in (0,1), got {t[0]}")
-        else:
-            if np.any(t <= 0.0):
-                raise ValueError("multiclass thresholds must all be positive")
-            # Keep already-normalized vectors bit-identical so a value computed
-            # with them can be reproduced exactly from the stored vector.
-            if abs(t.sum() - 1.0) > 1e-12:
-                t = t / t.sum()
-        object.__setattr__(self, "t", t)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
-def apply_thresholds(prob: np.ndarray, t) -> np.ndarray:
-    """Turn row-stochastic probabilities into class indices.
-
-    Binary: predict class 1 iff p >= t. Multiclass: argmax of p_k / t_k,
-    ties resolving to the lowest class index. ``t`` may be a ThresholdVector
-    or a raw positive array (useful for checking scale invariance before
-    normalization).
+    ``t`` is a 1-D threshold array. One entry is a binary cutoff: class 1
+    iff p_1 >= t[0]. K entries are positive per-class divisors: the argmax
+    of p_k / t_k, ties resolving to the lowest class index. Scaling the
+    divisors by a positive constant changes no label.
     """
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2:
         raise ValueError("prob must be an (n, K) matrix")
-    tv = t.t if isinstance(t, ThresholdVector) else np.asarray(t, dtype=np.float64).ravel()
     k = prob.shape[1]
-    if len(tv) == 1:
+    if len(t) == 1:
         if k != 2:
             raise ValueError(f"scalar threshold needs 2 probability columns, got {k}")
-        return (prob[:, 1] >= tv[0]).astype(np.intp)
-    if len(tv) != k:
-        raise ValueError(f"threshold length {len(tv)} does not match {k} classes")
-    return np.argmax(prob / tv, axis=1).astype(np.intp)
+        return (prob[:, 1] >= t[0]).astype(np.intp)
+    if len(t) != k:
+        raise ValueError(f"threshold length {len(t)} does not match {k} classes")
+    return np.argmax(prob / t, axis=1).astype(np.intp)
 
 
 def _errors(prob: np.ndarray, truth: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -81,7 +49,7 @@ def _errors(prob: np.ndarray, truth: np.ndarray, cutoffs: np.ndarray) -> np.ndar
     return ((prob[None, :] >= cutoffs[:, None]) != truth).mean(axis=1)
 
 
-def optimize_binary(prob: np.ndarray, truth: np.ndarray) -> tuple[ThresholdVector, float]:
+def optimize_binary(prob: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
     """Multi-start linesearch for the binary cutoff that minimizes mmce.
 
     The (0,1) interval is covered by a grid of 100 points split into 5 equal
@@ -111,7 +79,7 @@ def optimize_binary(prob: np.ndarray, truth: np.ndarray) -> tuple[ThresholdVecto
         candidates.extend(zip(fine.tolist(), _errors(prob, truth, fine).tolist()))
 
     best_t, best_v = min(candidates, key=lambda c: (c[1], c[0]))
-    return ThresholdVector(np.asarray([best_t])), best_v
+    return np.asarray([best_t]), best_v
 
 
 def _visiting_temperature(i: int) -> float:
@@ -133,7 +101,7 @@ def _tsallis_step(rng, size: int) -> list[float]:
 
 def optimize_multiclass_gsa(
     prob: np.ndarray, truth: np.ndarray, seed: int = 1
-) -> tuple[ThresholdVector, float]:
+) -> tuple[np.ndarray, float]:
     """Generalized simulated annealing of per-class divisors that minimize mmce.
 
     State is a point on the open simplex, started at uniform (which equals
@@ -182,4 +150,4 @@ def optimize_multiclass_gsa(
         if accept:
             current, current_value = proposal.tolist(), value
 
-    return ThresholdVector(best_state), best_value
+    return best_state, best_value

@@ -491,6 +491,35 @@ class TestCliCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command,flag,content,message", [
+        ("fit", "--data", b"x,c,y\n1,\xe9,u\n2,b,v\n", "is not UTF-8 text"),
+        ("fit", "--data", None, "Is a directory"),
+        ("benchmark", "--spec", b"name\ttrain_path\ttest_path\ttarget\tmeasure\nt\xe9\n",
+         "is not UTF-8 text"),
+        ("benchmark", "--spec", None, "Is a directory"),
+        ("predict", "--model", None, "Is a directory"),
+    ], ids=["latin1-csv", "directory-data", "latin1-spec", "directory-spec", "directory-model"])
+    def test_unreadable_input_exit_code(
+        self, command, flag, content, message, csv_pair, tmp_path, capsys
+    ):
+        # None passes a directory where a file belongs; bytes are the file.
+        base, train, test = csv_pair
+        given = tmp_path / "input"
+        if content is None:
+            given.mkdir()
+        else:
+            given.write_bytes(content)
+        required = {
+            "fit": ["--target", "y"],
+            "benchmark": [],
+            "predict": ["--data", str(train)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, flag, str(given), *required, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(given) in err and message in err
+        assert not out.exists()
+
     def test_corrupt_bundle_exit_code(self, csv_pair, tmp_path):
         base, train, test = csv_pair
         bad = tmp_path / "bad.bundle"
@@ -515,6 +544,24 @@ class TestCliCommands:
         code = main(["benchmark", "--spec", str(spec), "--out", str(tmp_path / "r.tsv")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_spec_with_byte_order_mark(self, csv_pair, tmp_path, capsys):
+        # Some editors save UTF-8 with a BOM, which must not end up in the first column's name.
+        base, train, test = csv_pair
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            f"toy\t{train}\t{test}\tlabel\tmmce\n",
+            encoding="utf-8-sig",
+        )
+        assert spec.read_bytes().startswith(b"\xef\xbb\xbfname\t")
+        tasks = read_benchmark_spec(spec)
+        assert [t.name for t in tasks] == ["toy"]
+        out = tmp_path / "report.tsv"
+        code = main(["benchmark", "--spec", str(spec), "--reps", "1", "--bootstrap", "10",
+                     "--budget", "2", "--max-rounds", "5", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("toy\tmmce\t")
 
     def test_spec_relative_paths(self, csv_pair, tmp_path):
         base, train, test = csv_pair

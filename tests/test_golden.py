@@ -243,7 +243,7 @@ def threshold_digests(case):
             tv, value = optimize_multiclass_gsa(prob, truth, seed=seed)
         else:
             tv, value = optimize_binary(prob, truth)
-        vectors.append(np.asarray(tv.t, dtype="<f8").tobytes())
+        vectors.append(np.asarray(tv, dtype="<f8").tobytes())
         values.append(np.asarray(value, dtype="<f8").tobytes())
     return {"thresholds": sha(b"".join(vectors)), "values": sha(b"".join(values))}
 

@@ -145,7 +145,7 @@ class TestFit:
                          max_rounds=20, patience=4)
         model = autogbt_fit(train, cfg)
         assert model.measure == "logloss"
-        assert model.thresholds is not None and model.thresholds.t[0] == 0.5
+        assert model.thresholds is not None and model.thresholds[0] == 0.5
 
     def test_multiclass_logloss_keeps_equal_thresholds(self, fitted_multiclass, tmp_path):
         train, cfg, _ = fitted_multiclass
@@ -332,6 +332,14 @@ def _one_threshold(p):
     p["thresholds"] = p["thresholds"][:1]
 
 
+def _divisor_zero(p):
+    p["thresholds"][1] = 0.0
+
+
+def _divisor_negative(p):
+    p["thresholds"][1] = -0.1
+
+
 def _feature_99(p):
     tree, splits = _split_tree(p)
     tree["feature"][splits[0]] = 99
@@ -476,6 +484,8 @@ class TestBundle:
 
     @pytest.mark.parametrize("edit", [
         _one_threshold,
+        _divisor_zero,
+        _divisor_negative,
         _feature_99,
         _one_class_fewer,
         _left_out_of_range,
@@ -502,6 +512,23 @@ class TestBundle:
             load(path)
         data = tmp_path / "features.csv"
         data.write_text("x,c\n0.5,p\n-3.0,q\n")
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, 1.5])
+    def test_binary_cutoff_outside_unit_interval_raises_bundle_error(
+        self, fitted_binary, cutoff, tmp_path
+    ):
+        _, _, model = fitted_binary
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["thresholds"] = [cutoff]
+        _rewrite_with_checksum(path, doc)
+        with pytest.raises(BundleError, match="inconsistent bundle"):
+            load(path)
+        data = tmp_path / "features.csv"
+        data.write_text("x1,x2,c1,c2\n0.5,0.1,a,u\n-0.5,0.2,b,v\n")
         assert main(["predict", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 2
 

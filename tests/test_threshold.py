@@ -5,7 +5,6 @@ import pytest
 
 from autoboost.metrics import mmce
 from autoboost.threshold import (
-    ThresholdVector,
     apply_thresholds,
     optimize_binary,
     optimize_multiclass_gsa,
@@ -63,15 +62,15 @@ class TestApplyThresholds:
         rng = np.random.default_rng(0)
         for k in (3, 4, 6):
             prob = random_stochastic(rng, 40, k)
-            uniform = ThresholdVector(np.full(k, 1.0 / k))
+            uniform = np.full(k, 1.0 / k)
             np.testing.assert_array_equal(
                 apply_thresholds(prob, uniform), np.argmax(prob, axis=1)
             )
 
     def test_binary_cutoff(self):
         prob = np.asarray([[0.4, 0.6]])
-        assert apply_thresholds(prob, ThresholdVector(np.asarray([0.5])))[0] == 1
-        assert apply_thresholds(prob, ThresholdVector(np.asarray([0.7])))[0] == 0
+        assert apply_thresholds(prob, np.asarray([0.5]))[0] == 1
+        assert apply_thresholds(prob, np.asarray([0.7]))[0] == 0
 
     def test_ratio_rule_example(self):
         prob = np.asarray([[0.5, 0.3, 0.2]])
@@ -97,14 +96,6 @@ class TestApplyThresholds:
         with pytest.raises(ValueError, match="does not match"):
             apply_thresholds(prob, np.asarray([0.5, 0.5, 0.5, 0.5]))
 
-    def test_vector_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ThresholdVector(np.asarray([0.5, -0.1, 0.6]))
-        with pytest.raises(ValueError, match="in \\(0,1\\)"):
-            ThresholdVector(np.asarray([1.5]))
-        normalized = ThresholdVector(np.asarray([2.0, 1.0, 1.0]))
-        assert normalized.t.sum() == pytest.approx(1.0, abs=1e-15)
-
 
 class TestOptimizeBinary:
     def test_separable_with_margin_reaches_zero(self):
@@ -112,7 +103,7 @@ class TestOptimizeBinary:
         truth = np.asarray([0] * 20 + [1] * 20)
         tv, value = optimize_binary(prob, truth)
         assert value == 0.0
-        assert 0.3 < tv.t[0] < 0.5
+        assert 0.3 < tv[0] < 0.5
 
     def test_all_positive_truth(self):
         rng = np.random.default_rng(2)
@@ -120,7 +111,7 @@ class TestOptimizeBinary:
         truth = np.ones(30, dtype=np.intp)
         tv, value = optimize_binary(prob, truth)
         assert value == 0.0
-        assert tv.t[0] <= prob.min()
+        assert tv[0] <= prob.min()
 
     def test_never_worse_than_default_cutoff(self):
         rng = np.random.default_rng(3)
@@ -148,7 +139,7 @@ class TestOptimizeMulticlassGsa:
         prob, truth = rare_class_case(5)
         a = optimize_multiclass_gsa(prob, truth, seed=42)
         b = optimize_multiclass_gsa(prob, truth, seed=42)
-        np.testing.assert_array_equal(a[0].t, b[0].t)
+        np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     def test_start_already_optimal_returns_start_value(self):
