@@ -274,7 +274,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load(args.model)
-    kinds = dict(model.encoders.feature_schema)
+    kinds = {ce.name: ce.kind for ce in model.encoders}
     data = load_csv(args.data, target=None, na_tokens=_na_tokens(args), kinds=kinds)
     preds = autogbt_predict(model, data)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -37,26 +37,16 @@ class ColumnEncoder:
     table: np.ndarray
     output_names: tuple[str, ...]
 
-
-@dataclass(frozen=True)
-class EncoderModel:
-    """All fitted per-column transforms, in feature column order."""
-
-    encoders: tuple[ColumnEncoder, ...]
-
     @property
-    def feature_schema(self) -> tuple[tuple[str, str], ...]:
-        """(name, kind) of every fit-time feature: passthrough columns are numeric."""
-        return tuple(
-            (ce.name, "numeric" if ce.strategy == "passthrough" else "categorical")
-            for ce in self.encoders
-        )
+    def kind(self) -> str:
+        """Kind of the fit-time source column: passthrough columns are numeric."""
+        return "numeric" if self.strategy == "passthrough" else "categorical"
 
 
 def fit_encoders(
     train: Dataset, k: int = 10, high_card_strategy: str = "impact", m: float = 1.0
-) -> EncoderModel:
-    """Fit per-column encoders on the training split.
+) -> tuple[ColumnEncoder, ...]:
+    """Fit per-column encoders on the training split, in feature column order.
 
     Dispatch is strict: a categorical column with L < k levels is dummy
     encoded, L >= k gets ``high_card_strategy``. Impact values for level a
@@ -83,7 +73,7 @@ def fit_encoders(
             encoders.append(_fit_integer(col))
         else:
             encoders.append(_fit_impact(col, train, m))
-    return EncoderModel(tuple(encoders))
+    return tuple(encoders)
 
 
 def _passthrough(col: Column) -> ColumnEncoder:
@@ -127,7 +117,7 @@ def _fit_impact(col: Column, train: Dataset, m: float) -> ColumnEncoder:
     return ColumnEncoder(col.name, "impact", levels, table, (col.name,))
 
 
-def transform(enc: EncoderModel, d: Dataset) -> Dataset:
+def transform(enc: tuple[ColumnEncoder, ...], d: Dataset) -> Dataset:
     """Apply fitted encoders; the result holds the encoded features only.
 
     Requires every fit-time feature to be present with the same kind; other
@@ -136,12 +126,12 @@ def transform(enc: EncoderModel, d: Dataset) -> Dataset:
     """
     available = {c.name: c for c in d.columns}
     out_columns: list[Column] = []
-    for ce, (name, kind) in zip(enc.encoders, enc.feature_schema):
-        col = available.get(name)
+    for ce in enc:
+        col = available.get(ce.name)
         if col is None:
-            raise SchemaError(f"missing feature column {name!r}")
-        if col.kind != kind:
-            raise SchemaError(f"feature {name!r} is {col.kind}, expected {kind}")
+            raise SchemaError(f"missing feature column {ce.name!r}")
+        if col.kind != ce.kind:
+            raise SchemaError(f"feature {ce.name!r} is {col.kind}, expected {ce.kind}")
         if ce.strategy == "passthrough":
             out_columns.append(col)
             continue

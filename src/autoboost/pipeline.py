@@ -6,8 +6,8 @@ tuning history. The model of the best completed evaluation is kept with its
 rounds up to ``best_iteration``, the ones prediction uses (no refit on merged
 data, which would invalidate the early-stopped round count). Bundles are
 versioned, checksummed, compact JSON documents whose numbers round-trip
-exactly; each tree is stored as its node arrays and each encoder as its
-level table.
+exactly; one writer stores each record (pipeline, boosted model, tree,
+encoder) under its class's field names, and ``load`` checks the parts agree.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gbt
 from .data import DataError, Dataset, check_target, split_holdout
-from .encoding import ColumnEncoder, EncoderModel, fit_encoders, transform
+from .encoding import ColumnEncoder, fit_encoders, transform
 from .metrics import logloss, resolve_measure, rmse
 from .smbo import decode_config, tune
 from .threshold import apply_thresholds, optimize_binary, optimize_multiclass_gsa
@@ -69,7 +69,7 @@ class Predictions:
 class PipelineModel:
     """Deployable composite: encoders + boosted model + thresholds + history."""
 
-    encoders: EncoderModel
+    encoders: tuple[ColumnEncoder, ...]
     model: gbt.BoostedModel
     thresholds: np.ndarray | None
     task: str
@@ -210,76 +210,43 @@ def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
 # Bundle serialization
 
 
-def _model_to_dict(m: gbt.BoostedModel) -> dict:
-    return {
-        "task": m.task,
-        "base_score": np.asarray(m.base_score).tolist(),
-        "rounds": [
-            [{name: a.tolist() for name, a in tree._asdict().items()} for tree in group]
-            for group in m.rounds
-        ],
-        "best_iteration": m.best_iteration,
-        "valid_history": list(m.valid_history),
-        "n_features": m.n_features,
-    }
-
-
-def _model_from_dict(d: dict) -> gbt.BoostedModel:
-    return gbt.BoostedModel(
-        task=d["task"],
-        base_score=np.asarray(d["base_score"], dtype=np.float64),
-        rounds=tuple(tuple(gbt.Tree.from_lists(**rec) for rec in group) for group in d["rounds"]),
-        best_iteration=int(d["best_iteration"]),
-        valid_history=tuple(float(v) for v in d["valid_history"]),
-        n_features=int(d["n_features"]),
-    )
-
-
-def _encoders_to_list(enc: EncoderModel) -> list:
-    return [
-        {
-            "name": ce.name,
-            "strategy": ce.strategy,
-            "levels": list(ce.levels),
-            "table": ce.table.tolist(),
-            "output_names": list(ce.output_names),
-        }
-        for ce in enc.encoders
-    ]
-
-
-def _encoders_from_list(records: list) -> EncoderModel:
-    return EncoderModel(tuple(
-        ColumnEncoder(
-            name=c["name"],
-            strategy=c["strategy"],
-            levels=tuple(c["levels"]),
-            table=np.asarray(c["table"], dtype=np.float64).reshape(-1, len(c["output_names"])),
-            output_names=tuple(c["output_names"]),
-        )
-        for c in records
-    ))
-
-
-def _to_payload(p: PipelineModel) -> dict:
-    return {
-        "task": p.task,
-        "classes": list(p.classes) if p.classes is not None else None,
-        "measure": p.measure,
-        "encoders": _encoders_to_list(p.encoders),
-        "model": _model_to_dict(p.model),
-        "thresholds": p.thresholds.tolist() if p.thresholds is not None else None,
-        "auto_config": p.auto_config,
-        "history": p.history,
-        "fit_report": p.fit_report,
-    }
+def _to_json(obj):
+    """JSON values of a fitted object: records by field name, arrays and tuples as lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    elif dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_to_json(v) for v in obj]
+    return obj
 
 
 def _from_payload(payload: dict) -> PipelineModel:
+    m = payload["model"]
     thresholds = payload["thresholds"]
     return PipelineModel(
-        encoders=_encoders_from_list(payload["encoders"]),
-        model=_model_from_dict(payload["model"]),
+        encoders=tuple(
+            ColumnEncoder(
+                name=c["name"],
+                strategy=c["strategy"],
+                levels=tuple(c["levels"]),
+                table=np.asarray(c["table"], dtype=np.float64).reshape(-1, len(c["output_names"])),
+                output_names=tuple(c["output_names"]),
+            )
+            for c in payload["encoders"]
+        ),
+        model=gbt.BoostedModel(
+            task=m["task"],
+            base_score=np.asarray(m["base_score"], dtype=np.float64),
+            rounds=tuple(tuple(gbt.Tree.from_lists(**rec) for rec in group) for group in m["rounds"]),
+            best_iteration=int(m["best_iteration"]),
+            valid_history=tuple(float(v) for v in m["valid_history"]),
+            n_features=int(m["n_features"]),
+        ),
         thresholds=np.asarray(thresholds, dtype=np.float64) if thresholds is not None else None,
         task=payload["task"],
         classes=tuple(payload["classes"]) if payload["classes"] is not None else None,
@@ -300,7 +267,7 @@ def save(p: PipelineModel, path: str | Path) -> None:
     The document is written in the same compact, key-sorted form that the
     checksum hashes.
     """
-    payload = _to_payload(p)
+    payload = _to_json(p)
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -376,10 +343,12 @@ def _check_parts(p: PipelineModel) -> None:
         fail(f"base score of shape {m.base_score.shape} for {n_out} outputs")
     if not 1 <= m.best_iteration <= len(m.rounds):
         fail(f"best_iteration {m.best_iteration} with {len(m.rounds)} rounds")
-    width = sum(len(ce.output_names) for ce in p.encoders.encoders)
+    if not p.encoders:
+        fail("no encoders, so no feature and no row to score")
+    width = sum(len(ce.output_names) for ce in p.encoders)
     if width != m.n_features:
         fail(f"encoders give {width} features, the model reads {m.n_features}")
-    for ce in p.encoders.encoders:
+    for ce in p.encoders:
         if ce.strategy != "passthrough" and len(ce.table) != len(ce.levels) + 1:
             fail(f"encoder {ce.name!r} has {len(ce.table)} rows for {len(ce.levels)} levels")
     for r, group in enumerate(m.rounds):

@@ -74,26 +74,26 @@ class TestDispatch:
     def test_below_threshold_is_dummy(self):
         ds = make_ds(["a", "b", "c"] * 3, ["0", "1", "0"] * 3, "binary")
         enc = fit_encoders(ds, k=10)
-        assert enc.encoders[0].strategy == "dummy"
-        assert len(enc.encoders[0].output_names) == 3
+        assert enc[0].strategy == "dummy"
+        assert len(enc[0].output_names) == 3
 
     def test_at_or_above_threshold_uses_high_card_strategy(self):
         levels = [f"l{i:02d}" for i in range(12)]
         ds = make_ds(levels * 2, ["0", "1"] * 12, "binary")
         for strategy in ("impact", "integer"):
             enc = fit_encoders(ds, k=10, high_card_strategy=strategy)
-            assert enc.encoders[0].strategy == strategy
+            assert enc[0].strategy == strategy
 
     def test_threshold_is_strict_less_than(self):
         levels = [f"l{i}" for i in range(10)]
         ds = make_ds(levels * 2, ["0", "1"] * 10, "binary")
         enc = fit_encoders(ds, k=10)
-        assert enc.encoders[0].strategy == "impact"  # 10 levels is not < 10
+        assert enc[0].strategy == "impact"  # 10 levels is not < 10
 
     def test_numeric_passthrough(self):
         ds = make_ds(["a", "b"] * 3, ["0", "1"] * 3, "binary", extra_numeric=[1.0] * 6)
         enc = fit_encoders(ds, k=10)
-        assert enc.encoders[1].strategy == "passthrough"
+        assert enc[1].strategy == "passthrough"
 
     def test_k_below_two_errors(self):
         ds = make_ds(["a", "b"] * 3, ["0", "1"] * 3, "binary")
@@ -111,7 +111,7 @@ class TestImpactValues:
     def test_binary_conditional_frequencies_by_hand(self):
         ds = make_ds(["a", "a", "b", "b"], ["1", "0", "1", "1"], "binary")
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
-        ce = enc.encoders[0]
+        ce = enc[0]
         # classes are sorted ("0", "1"); index 1 is P(y=1 | level)
         assert ce.table[ce.levels.index("a")][1] == pytest.approx(0.5, abs=1e-15)
         assert ce.table[ce.levels.index("b")][1] == pytest.approx(1.0, abs=1e-15)
@@ -119,7 +119,7 @@ class TestImpactValues:
     def test_regression_group_means_by_hand(self):
         ds = make_ds(["a", "a", "b"], [2.0, 4.0, 6.0], "regression")
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
-        ce = enc.encoders[0]
+        ce = enc[0]
         assert ce.table[ce.levels.index("a")][0] == pytest.approx(3.0, abs=1e-15)
         assert ce.table[ce.levels.index("b")][0] == pytest.approx(6.0, abs=1e-15)
 
@@ -136,7 +136,7 @@ class TestImpactValues:
                 ds = make_ds(cat, y, "binary")
                 enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
                 oracle, prior = group_by_oracle_classification(cat, y, list(ds.classes), 0.0)
-                ce = enc.encoders[0]
+                ce = enc[0]
                 for level, vec in oracle.items():
                     assert np.max(np.abs(ce.table[ce.levels.index(level)] - vec)) <= 1e-12
                 assert np.max(np.abs(ce.table[-1] - prior)) <= 1e-12
@@ -145,7 +145,7 @@ class TestImpactValues:
                 ds = make_ds(cat, y, "regression")
                 enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
                 oracle, ybar = group_by_oracle_regression(cat, y, 0.0)
-                ce = enc.encoders[0]
+                ce = enc[0]
                 for level, value in oracle.items():
                     assert abs(ce.table[ce.levels.index(level)][0] - value) <= 1e-12
                 assert abs(ce.table[-1][0] - ybar) <= 1e-12
@@ -168,7 +168,7 @@ class TestImpactValues:
             y = np.asarray(y, dtype=object)[order]
             ds = make_ds(cat, y, "binary" if len(classes) == 2 else "multiclass")
             for m in (0, 1, 2.5):
-                ce = fit_encoders(ds, k=2, high_card_strategy="impact", m=m).encoders[0]
+                ce = fit_encoders(ds, k=2, high_card_strategy="impact", m=m)[0]
                 expected = impact_reference(cat, y, levels, classes, m)
                 assert ce.levels == tuple(levels)
                 assert np.array_equal(ce.table, expected), (seed, m)
@@ -178,7 +178,7 @@ class TestImpactValues:
         y = ["r", "s", "s", "t", "t", "r"]
         ds = make_ds(cat, y, "multiclass")
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=0.0)
-        ce = enc.encoders[0]
+        ce = enc[0]
         assert ce.output_names == ("f~r", "f~s", "f~t")
         oracle, prior = group_by_oracle_classification(cat, y, ["r", "s", "t"], 0.0)
         for level, vec in oracle.items():
@@ -191,7 +191,7 @@ class TestImpactValues:
         for m in (0.0, 1.0, 5.0):
             ds = make_ds(["a", "a", "b", "c", "c", "c"], ["0", "1", "1", "0", "1", "0"], "binary")
             enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=m)
-            for vec in enc.encoders[0].table[:-1]:
+            for vec in enc[0].table[:-1]:
                 assert sum(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_smoothing_pulls_strictly_toward_prior(self):
@@ -199,7 +199,7 @@ class TestImpactValues:
         enc = fit_encoders(ds, k=2, high_card_strategy="impact", m=2.0)
         ybar = 4.0
         # group b has mean 6; smoothed value must lie strictly between
-        ce = enc.encoders[0]
+        ce = enc[0]
         smoothed = ce.table[ce.levels.index("b")][0]
         assert ybar < smoothed < 6.0
 

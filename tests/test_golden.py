@@ -20,7 +20,7 @@ import pytest
 
 from autoboost.cli import main
 from autoboost.data import Column, Dataset
-from autoboost.pipeline import AutoConfig, _canonical, _to_payload, autogbt_fit, autogbt_predict
+from autoboost.pipeline import AutoConfig, _canonical, _to_json, autogbt_fit, autogbt_predict
 from autoboost.smbo import tune
 from autoboost.threshold import optimize_binary, optimize_multiclass_gsa
 
@@ -77,7 +77,7 @@ def digests(classes):
     score = features_only(mixed_dataset(120, seed=42, classes=classes), unseen_seed=43)
     model = autogbt_fit(train, CFG)
     preds = autogbt_predict(model, score)
-    payload = _to_payload(model)
+    payload = _to_json(model)
     payload["history"] = dict(payload["history"], evaluations=[
         {k: v for k, v in e.items() if k != "elapsed"} for e in payload["history"]["evaluations"]
     ])

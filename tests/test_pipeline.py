@@ -58,6 +58,13 @@ def fitted_multiclass():
     return train, cfg, autogbt_fit(train, cfg)
 
 
+@pytest.fixture(scope="module")
+def fitted_regression():
+    train = linear_regression_dataset(120, seed=71)
+    cfg = AutoConfig(seed=5, budget=4, deadline=60.0, max_rounds=25, patience=4)
+    return train, cfg, autogbt_fit(train, cfg)
+
+
 class TestFit:
     def test_separable_binary_beats_baseline(self, fitted_binary):
         train, cfg, model = fitted_binary
@@ -219,7 +226,7 @@ class TestPredict:
 
         model = autogbt_fit(mixed(160, seed=61), AutoConfig(
             seed=3, budget=4, deadline=60.0, max_rounds=20, patience=4))
-        strategies = [ce.strategy for ce in model.encoders.encoders]
+        strategies = [ce.strategy for ce in model.encoders]
         assert strategies == ["passthrough", "passthrough", "dummy", "impact"]
 
         test = mixed(60, seed=62)
@@ -395,6 +402,34 @@ def _encoder_table_row_dropped(p):
     enc["table"] = enc["table"][:-1]
 
 
+def _no_encoders(p):
+    # Every tree a single leaf, so the model reads none of its zero features.
+    leaf = {"feature": [-1], "threshold": [0.0], "default_left": [True], "left": [-1], "value": [0.0]}
+    p["encoders"] = []
+    p["model"]["n_features"] = 0
+    p["model"]["rounds"] = [[dict(leaf) for _ in group] for group in p["model"]["rounds"]]
+
+
+def _drop_thresholds(p):
+    del p["thresholds"]
+
+
+def _drop_model(p):
+    del p["model"]
+
+
+def _drop_valid_history(p):
+    del p["model"]["valid_history"]
+
+
+def _drop_output_names(p):
+    del p["encoders"][0]["output_names"]
+
+
+def _drop_left(p):
+    del p["model"]["rounds"][0][0]["left"]
+
+
 class TestBundle:
     def test_roundtrip_predictions_bit_identical(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary
@@ -418,10 +453,8 @@ class TestBundle:
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         assert a.labels == b.labels
 
-    def test_regression_roundtrip(self, tmp_path):
-        train = linear_regression_dataset(120, seed=71)
-        cfg = AutoConfig(seed=5, budget=4, deadline=60.0, max_rounds=25, patience=4)
-        model = autogbt_fit(train, cfg)
+    def test_regression_roundtrip(self, fitted_regression, tmp_path):
+        _, _, model = fitted_regression
         path = tmp_path / "reg.bundle"
         save(model, path)
         loaded = load(path)
@@ -429,6 +462,14 @@ class TestBundle:
         np.testing.assert_array_equal(
             autogbt_predict(model, test).values, autogbt_predict(loaded, test).values
         )
+
+    @pytest.mark.parametrize("fitted", ["fitted_binary", "fitted_multiclass", "fitted_regression"])
+    def test_save_of_a_loaded_bundle_is_byte_identical(self, fitted, request, tmp_path):
+        _, _, model = request.getfixturevalue(fitted)
+        path, again = tmp_path / "model.bundle", tmp_path / "again.bundle"
+        save(model, path)
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_bundle_keeps_rounds_up_to_best_iteration(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary
@@ -467,13 +508,21 @@ class TestBundle:
         with pytest.raises(BundleError, match="checksum"):
             load(path)
 
-    def test_payload_without_model_raises_bundle_error(self, fitted_binary, tmp_path):
-        # A valid checksum over a payload that lacks a key is still malformed.
-        train, _, model = fitted_binary
+    @pytest.mark.parametrize("edit", [
+        _drop_model,
+        _drop_thresholds,
+        _drop_valid_history,
+        _drop_output_names,
+        _drop_left,
+    ], ids=lambda edit: edit.__name__[len("_drop_"):])
+    def test_payload_without_a_field_raises_bundle_error(self, fitted_binary, edit, tmp_path):
+        # A valid checksum over a payload that lacks a key is still malformed,
+        # at the top level and in a model, encoder or tree record.
+        _, _, model = fitted_binary
         path = tmp_path / "model.bundle"
         save(model, path)
         doc = json.loads(path.read_text())
-        del doc["payload"]["model"]
+        edit(doc["payload"])
         _rewrite_with_checksum(path, doc)
         with pytest.raises(BundleError, match="malformed bundle payload"):
             load(path)
@@ -481,6 +530,19 @@ class TestBundle:
         data.write_text("x1,x2,c1,c2\n0.5,0.1,a,u\n-0.5,0.2,b,v\n")
         assert main(["predict", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "p.csv")]) == 2
+
+    def test_unknown_payload_field_is_ignored(self, fitted_binary, tmp_path):
+        _, _, model = fitted_binary
+        path = tmp_path / "model.bundle"
+        save(model, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["comment"] = "written by a newer build"
+        _rewrite_with_checksum(path, doc)
+        loaded = load(path)
+        test = binary_margin_dataset(30, seed=78, missing=0.05)
+        np.testing.assert_array_equal(
+            autogbt_predict(model, test).probabilities, autogbt_predict(loaded, test).probabilities
+        )
 
     @pytest.mark.parametrize("edit", [
         _one_threshold,
@@ -498,6 +560,7 @@ class TestBundle:
         _best_iteration_past_rounds,
         _model_reads_one_more_feature,
         _encoder_table_row_dropped,
+        _no_encoders,
     ], ids=lambda edit: edit.__name__.strip("_"))
     def test_parts_that_disagree_raise_bundle_error(self, fitted_multiclass, edit, tmp_path):
         # The checksum matches the edited payload, so only the consistency
