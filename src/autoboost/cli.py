@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, load_csv, majority_baseline, open_text
+from .data import DEFAULT_NA_TOKENS, DataError, Dataset, load_csv, majority_baseline, open_text
 from .metrics import MEASURES, logloss, mmce, resolve_measure, rmse
 from .pipeline import AutoConfig, BundleError, autogbt_fit, autogbt_predict, load, save
 from .smbo import TuneError, history_csv
@@ -206,7 +206,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser and its subcommand parsers by name, with AutoConfig's fit defaults."""
+    defaults = AutoConfig()
     parser = _Parser(prog="autoboost", description="Automatic gradient boosting")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -214,11 +215,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fit.add_argument("--data", required=True)
     fit.add_argument("--target", required=True)
     fit.add_argument("--measure", choices=MEASURES)
-    fit.add_argument("--budget", type=int, default=160)
-    fit.add_argument("--time-limit", type=float, default=3600.0)
-    fit.add_argument("--seed", type=int, default=1)
-    fit.add_argument("--valid-fraction", type=float, default=0.2)
-    fit.add_argument("--max-rounds", type=int, default=1000)
+    fit.add_argument("--budget", type=int, default=defaults.budget)
+    fit.add_argument("--time-limit", type=float, default=defaults.deadline)
+    fit.add_argument("--seed", type=int, default=defaults.seed)
+    fit.add_argument("--valid-fraction", type=float, default=defaults.valid_fraction)
+    fit.add_argument("--max-rounds", type=int, default=defaults.max_rounds)
     fit.add_argument("--na-token", action="append", default=None,
                      help="cell value treated as missing (repeatable)")
     fit.add_argument("--history", help="also write the tuning history as CSV")
@@ -237,16 +238,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     bench.add_argument("--size", type=int, default=4)
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--agg", choices=["min", "mean"], default="min")
-    bench.add_argument("--budget", type=int, default=160)
-    bench.add_argument("--time-limit", type=float, default=3600.0)
-    bench.add_argument("--max-rounds", type=int, default=1000)
+    bench.add_argument("--budget", type=int, default=defaults.budget)
+    bench.add_argument("--time-limit", type=float, default=defaults.deadline)
+    bench.add_argument("--max-rounds", type=int, default=defaults.max_rounds)
     bench.add_argument("--out", required=True)
     return parser, sub.choices
 
 
 def _na_tokens(args) -> tuple[str, ...]:
-    from .data import DEFAULT_NA_TOKENS
-
     return tuple(args.na_token) if args.na_token else DEFAULT_NA_TOKENS
 
 

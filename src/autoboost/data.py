@@ -176,8 +176,9 @@ class Dataset:
 def open_text(path: Path, what: str):
     """Open ``path`` for the csv module as UTF-8 text, skipping a byte-order mark.
 
-    A file that is absent, cannot be opened or read, or is not UTF-8 raises
-    DataError naming it as ``what``, also while the caller reads it.
+    A file that is absent, unreadable, not UTF-8 or not parseable as CSV (say,
+    a cell past the csv module's field size limit) raises DataError naming it
+    as ``what``, also while the caller reads it.
     """
     try:
         with path.open("r", encoding="utf-8-sig", newline="") as fh:
@@ -188,6 +189,8 @@ def open_text(path: Path, what: str):
         raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"cannot parse {what} {path}: {exc}") from None
 
 
 def load_csv(

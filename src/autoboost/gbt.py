@@ -248,6 +248,7 @@ def build_tree(
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
+    rows: np.ndarray | None = None,
     *,
     max_depth: int,
     reg_lambda: float,
@@ -260,10 +261,14 @@ def build_tree(
 ) -> Tree:
     """Grow a single regression tree on gradients/hessians.
 
-    Growth is depth-wise; every level draws its own column subset (shared by
-    all nodes of that level). A branch stops at ``max_depth`` or when no
-    candidate has gain > 0. Leaf weights carry the learning rate already.
+    ``g`` and ``h`` are indexed like the rows of ``X``, and the tree grows on
+    the row indices ``rows``, all rows by default. Growth is depth-wise; every
+    level draws its own column subset (shared by all nodes of that level). A
+    branch stops at ``max_depth`` or when no candidate has gain > 0. Leaf
+    weights carry the learning rate already.
     """
+    if rows is None:
+        rows = np.arange(len(X))
     if cols is None:
         cols = np.arange(X.shape[1])
     if rng is None:
@@ -280,7 +285,7 @@ def build_tree(
             float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha
         )
 
-    frontier: list[tuple[int, np.ndarray]] = [(add_node(), np.arange(len(g)))]
+    frontier: list[tuple[int, np.ndarray]] = [(add_node(), rows)]
     for _ in range(max_depth):
         if not frontier:
             break
@@ -335,21 +340,23 @@ def _base_score(task: str, y: np.ndarray, n_classes: int) -> np.ndarray:
     return np.log(np.clip(freq, 1e-12, None))
 
 
-def _monitor_value(measure: str, task: str, scores: np.ndarray, y: np.ndarray) -> float:
-    """Validation value of the monitored measure at raw scores."""
+def _outputs(task: str, scores: np.ndarray) -> np.ndarray:
+    """Regression values, or class probabilities per row, of (rows, n_out) raw scores."""
     if task == "regression":
-        return rmse(scores, y)
-    probs = _scores_to_probs(task, scores)
-    if measure == "logloss":
-        return logloss(probs, y)
-    return mmce(np.argmax(probs, axis=1), y)
-
-
-def _scores_to_probs(task: str, scores: np.ndarray) -> np.ndarray:
+        return scores[:, 0]
     if task == "binary":
-        p = _sigmoid(scores)
+        p = _sigmoid(scores[:, 0])
         return np.column_stack([1.0 - p, p])
     return _softmax(scores)
+
+
+def _monitor_value(measure: str, task: str, outputs: np.ndarray, y: np.ndarray) -> float:
+    """Validation value of the monitored measure at ``_outputs``."""
+    if task == "regression":
+        return rmse(outputs, y)
+    if measure == "logloss":
+        return logloss(outputs, y)
+    return mmce(np.argmax(outputs, axis=1), y)
 
 
 def train(
@@ -387,11 +394,10 @@ def train(
     n_out = n_classes if task == "multiclass" else 1
 
     base = _base_score(task, y, n_out)
-    # Raw scores are (rows, n_out), one column per output's trees; the loss
-    # and the monitor read 1-D views when there is a single output.
+    # Raw scores are (rows, n_out); the loss reads a single output as a 1-D view.
     scores = np.tile(base, (n, 1))
     scores_v = np.tile(base, (len(X_valid), 1))
-    raw, raw_v = (scores, scores_v) if task == "multiclass" else (scores[:, 0], scores_v[:, 0])
+    raw = scores if task == "multiclass" else scores[:, 0]
 
     rng = np.random.default_rng(cfg.seed)
     all_cols = np.arange(d)
@@ -401,19 +407,17 @@ def train(
     stale = 0
 
     for _ in range(cfg.max_rounds):
+        rows = None  # all rows
         if cfg.subsample < 1.0:
             size = max(1, int(np.floor(cfg.subsample * n + 0.5)))
             rows = np.sort(rng.choice(n, size=size, replace=False))
-        else:
-            rows = np.arange(n)
-        Xs = X[rows]
-        g, h = loss_grad_hess(task, raw[rows], y[rows])
-        g, h = g.reshape(len(rows), n_out), h.reshape(len(rows), n_out)
+        g, h = loss_grad_hess(task, raw, y)
+        g, h = g.reshape(n, n_out), h.reshape(n, n_out)
         group = []
         for c in range(n_out):
             tree_cols = _sample_cols(all_cols, cfg.colsample_bytree, rng)
             tree = build_tree(
-                Xs, g[:, c], h[:, c],
+                X, g[:, c], h[:, c], rows,
                 max_depth=cfg.max_depth, reg_lambda=cfg.reg_lambda,
                 reg_alpha=cfg.reg_alpha, gamma=cfg.gamma, eta=cfg.eta,
                 cols=tree_cols, colsample_bylevel=cfg.colsample_bylevel, rng=rng,
@@ -423,7 +427,7 @@ def train(
             scores_v[:, c] += _tree_outputs(tree, X_valid)
         rounds.append(tuple(group))
 
-        value = _monitor_value(measure, task, raw_v, y_valid)
+        value = _monitor_value(measure, task, _outputs(task, scores_v), y_valid)
         history.append(value)
         if value < best_value:
             best_value = value
@@ -433,12 +437,11 @@ def train(
             if stale >= cfg.patience:
                 break
 
-    best_iteration = int(np.argmin(history)) + 1
     return BoostedModel(
         task=task,
         base_score=base,
         rounds=tuple(rounds),
-        best_iteration=best_iteration,
+        best_iteration=int(np.argmin(history)) + 1,
         valid_history=tuple(history),
         n_features=d,
     )
@@ -460,8 +463,4 @@ def predict(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     for group in model.rounds[: model.best_iteration]:
         for c, tree in enumerate(group):
             scores[:, c] += _tree_outputs(tree, X)
-    if model.task == "multiclass":
-        return _softmax(scores)
-    if model.task == "binary":
-        return _scores_to_probs("binary", scores[:, 0])
-    return scores[:, 0]
+    return _outputs(model.task, scores)

@@ -80,20 +80,14 @@ class PipelineModel:
     fit_report: dict
 
 
+# GBTConfig's names for the tuned penalties, since Python reserves ``lambda``;
+# every other name in smbo.SPACE is a GBTConfig field as it stands.
+_GBT_NAMES = {"lambda": "reg_lambda", "alpha": "reg_alpha"}
+
+
 def _gbt_config(params: dict, cfg: AutoConfig) -> gbt.GBTConfig:
-    return gbt.GBTConfig(
-        eta=params["eta"],
-        gamma=params["gamma"],
-        max_depth=params["max_depth"],
-        colsample_bytree=params["colsample_bytree"],
-        colsample_bylevel=params["colsample_bylevel"],
-        reg_lambda=params["lambda"],
-        reg_alpha=params["alpha"],
-        subsample=params["subsample"],
-        max_rounds=cfg.max_rounds,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
+    tuned = {_GBT_NAMES.get(name, name): value for name, value in params.items()}
+    return gbt.GBTConfig(**tuned, max_rounds=cfg.max_rounds, patience=cfg.patience, seed=cfg.seed)
 
 
 def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
@@ -137,8 +131,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     incumbent: dict = {"value": math.inf}
 
     def objective(point: np.ndarray) -> float:
-        params = decode_config(point)
-        gcfg = _gbt_config(params, cfg)
+        gcfg = _gbt_config(decode_config(point), cfg)
         model = gbt.train(x_train, y_train, x_valid, y_valid, task, n_classes, gcfg, measure)
         preds = gbt.predict(model, x_valid)
         thresholds: np.ndarray | None = None
@@ -172,7 +165,7 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     return PipelineModel(
         encoders=enc,
         model=dataclasses.replace(model, rounds=model.rounds[: model.best_iteration]),
-        thresholds=incumbent["thresholds"] if classification else None,
+        thresholds=incumbent["thresholds"],
         task=task,
         classes=classes,
         measure=measure,
@@ -195,15 +188,11 @@ def autogbt_predict(p: PipelineModel, newdata: Dataset) -> Predictions:
     the last row of their encoder's table, and extra columns (including a
     target) are ignored.
     """
-    encoded = transform(p.encoders, newdata)
-    x = encoded.feature_matrix()
-    raw = gbt.predict(p.model, x)
+    out = gbt.predict(p.model, transform(p.encoders, newdata).feature_matrix())
     if p.task == "regression":
-        return Predictions(task=p.task, values=raw)
-    labels = [p.classes[i] for i in apply_thresholds(raw, p.thresholds)]
-    return Predictions(
-        task=p.task, labels=labels, probabilities=raw, classes=p.classes
-    )
+        return Predictions(task=p.task, values=out)
+    labels = [p.classes[i] for i in apply_thresholds(out, p.thresholds)]
+    return Predictions(task=p.task, labels=labels, probabilities=out, classes=p.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +275,7 @@ def load(path: str | Path) -> PipelineModel:
         raise BundleError(f"no such bundle: {path}") from None
     except OSError as exc:
         raise BundleError(f"cannot read bundle {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BundleError(f"corrupt bundle, checksum cannot be verified: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise BundleError("not an autoboost pipeline bundle")

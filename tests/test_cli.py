@@ -498,7 +498,10 @@ class TestCliCommands:
          "is not UTF-8 text"),
         ("benchmark", "--spec", None, "Is a directory"),
         ("predict", "--model", None, "Is a directory"),
-    ], ids=["latin1-csv", "directory-data", "latin1-spec", "directory-spec", "directory-model"])
+        ("fit", "--data", b"x,c,y\n1," + b"a" * 200_000 + b",u\n2,b,v\n",
+         "field larger than field limit"),
+    ], ids=["latin1-csv", "directory-data", "latin1-spec", "directory-spec", "directory-model",
+            "cell-past-csv-field-limit"])
     def test_unreadable_input_exit_code(
         self, command, flag, content, message, csv_pair, tmp_path, capsys
     ):
@@ -544,6 +547,50 @@ class TestCliCommands:
         code = main(["benchmark", "--spec", str(spec), "--out", str(tmp_path / "r.tsv")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        ("", "benchmark spec needs columns"),
+        ("name\ttrain_path\n", "benchmark spec needs columns"),
+        ("name\ttrain_path\ttest_path\ttarget\tmeasure\n", "benchmark spec lists no datasets"),
+    ], ids=["empty", "two-columns", "header-only"])
+    def test_spec_without_datasets_is_a_data_error(self, content, message, tmp_path, capsys):
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(content)
+        out = tmp_path / "r.tsv"
+        assert main(["benchmark", "--spec", str(spec), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_records_an_unparseable_csv_and_scores_the_rest(
+        self, csv_pair, tmp_path, capsys
+    ):
+        # A cell past the csv module's field size limit fails that dataset only.
+        base, train, test = csv_pair
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x1,label\n" + "a" * 200_000 + ",yes\n0.5,no\n")
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            f"huge\t{huge}\t{test}\tlabel\tmmce\n"
+            f"toy\t{train}\t{test}\tlabel\tmmce\n"
+        )
+        out = tmp_path / "report.tsv"
+        code = main(["benchmark", "--spec", str(spec), "--reps", "1", "--bootstrap", "10",
+                     "--budget", "2", "--max-rounds", "5", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            failed, scored = csv.DictReader(fh, delimiter="\t")
+        assert str(huge) in failed["error"] and "field larger than field limit" in failed["error"]
+        assert failed["aggregated"] == ""
+        assert scored["error"] == "" and float(scored["aggregated"]) >= 0.0
+        # The table prints the failure beside the other dataset's normal row.
+        table = capsys.readouterr().out.splitlines()
+        (failed_row,) = [line for line in table if line.startswith("huge ")]
+        (scored_row,) = [line for line in table if line.startswith("toy ")]
+        assert failed_row.split()[1:3] == ["mmce", "FAILED:"]
+        assert scored_row.split()[1:] == [
+            "mmce", *(f"{100.0 * float(scored[k]):.2f}" for k in ("baseline", "aggregated"))
+        ]
 
     def test_spec_with_byte_order_mark(self, csv_pair, tmp_path, capsys):
         # Some editors save UTF-8 with a BOM, which must not end up in the first column's name.

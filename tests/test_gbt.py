@@ -261,6 +261,21 @@ class TestSplitTieRule:
         tree = depth1_tree(X, g, np.ones(6), cols=[1, 2])
         assert root_split(tree)[0] == 1
 
+    def test_rows_grow_the_tree_of_those_rows(self):
+        # Growing on row indices into X gives, to the bit, the tree of a copy of those rows.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(60, 4))
+        X[rng.uniform(size=X.shape) < 0.1] = np.nan
+        g, h = rng.normal(size=60), rng.uniform(0.1, 1.0, size=60)
+        rows = np.sort(rng.choice(60, size=33, replace=False))
+        kw = dict(max_depth=4, reg_lambda=1.0, reg_alpha=0.1, gamma=0.0, eta=0.3,
+                  colsample_bylevel=0.75)
+        on_rows = build_tree(X, g, h, rows, rng=np.random.default_rng(3), **kw)
+        copied = build_tree(X[rows], g[rows], h[rows], rng=np.random.default_rng(3), **kw)
+        assert on_rows.feature[0] >= 0
+        for got, want in zip(on_rows, copied):
+            np.testing.assert_array_equal(got, want)
+
     @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
     @given(split_cases())
     def test_column_subset_matches_oracle(self, case):

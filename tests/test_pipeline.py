@@ -12,11 +12,13 @@ from autoboost.data import Column, DataError, Dataset, SchemaError, split_holdou
 from autoboost.encoding import transform
 from autoboost.gbt import predict as gbt_predict
 from autoboost.metrics import logloss, mmce, rmse
+from autoboost.smbo import SPACE, decode_config
 from autoboost.cli import main
 from autoboost.pipeline import (
     AutoConfig,
     BundleError,
     BundleVersionError,
+    _gbt_config,
     autogbt_fit,
     autogbt_predict,
     load,
@@ -278,6 +280,17 @@ class TestInternalConsistency:
         assert values[idx] == min(values)
         assert model.fit_report["objective_value"] == values[idx]
 
+    def test_booster_settings_take_every_tuned_value_by_name(self):
+        params = decode_config(np.linspace(0.0, 1.0, len(SPACE)))
+        gcfg = _gbt_config(params, AutoConfig(max_rounds=7, patience=3, seed=5))
+        # GBTConfig spells the penalties out, since Python reserves ``lambda``.
+        fields = {"lambda": "reg_lambda", "alpha": "reg_alpha"}
+        assert {name: getattr(gcfg, fields.get(name, name)) for name in params} == params
+        assert (gcfg.max_rounds, gcfg.patience, gcfg.seed) == (7, 3, 5)
+        # A tuned name with no GBTConfig field fails instead of being dropped.
+        with pytest.raises(TypeError, match="min_child_weight"):
+            _gbt_config({**params, "min_child_weight": 1.0}, AutoConfig())
+
 
 def rare_class_dataset():
     """100 rows: classes a x2, b x49, c x49, separated by one numeric feature.
@@ -354,6 +367,14 @@ def _feature_99(p):
 
 def _one_class_fewer(p):
     p["classes"] = p["classes"][:-1]
+
+
+def _model_task_differs(p):
+    p["model"]["task"] = "binary"
+
+
+def _three_classes_for_binary(p):
+    p["task"] = p["model"]["task"] = "binary"
 
 
 def _left_out_of_range(p):
@@ -498,6 +519,17 @@ class TestBundle:
         with pytest.raises(BundleError):
             load(path)
 
+    def test_too_deeply_nested_file_raises_bundle_error(self, tmp_path):
+        # Valid JSON nested deeper than the decoder's recursion limit.
+        path = tmp_path / "model.bundle"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(BundleError, match="corrupt bundle"):
+            load(path)
+        data = tmp_path / "features.csv"
+        data.write_text("x1,x2,c1,c2\n0.5,0.1,a,u\n")
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
     def test_tampered_payload_fails_checksum(self, fitted_binary, tmp_path):
         _, _, model = fitted_binary
         path = tmp_path / "model.bundle"
@@ -550,6 +582,8 @@ class TestBundle:
         _divisor_negative,
         _feature_99,
         _one_class_fewer,
+        _model_task_differs,
+        _three_classes_for_binary,
         _left_out_of_range,
         _left_is_own_index,
         _children_shared,
