@@ -237,6 +237,13 @@ def _best_split(X, g, h, rows, cols, reg_lambda, gamma):
     return float(gains[i, best]), int(cols[best]), float(threshold), not right
 
 
+def _goes_left(x: np.ndarray, threshold: float, default_left: bool) -> np.ndarray:
+    """The split rule: a value below ``threshold`` goes left, a missing one iff ``default_left``."""
+    go_left = x < threshold
+    go_left[np.isnan(x)] = default_left
+    return go_left
+
+
 def _sample_cols(cols: np.ndarray, frac: float, rng) -> np.ndarray:
     if frac >= 1.0 or len(cols) <= 1:
         return cols
@@ -300,9 +307,7 @@ def build_tree(
             nodes["feature"][node] = feature
             nodes["threshold"][node] = threshold
             nodes["default_left"][node] = default_left
-            x = X[rows, feature]
-            go_left = x < threshold
-            go_left[np.isnan(x)] = default_left
+            go_left = _goes_left(X[rows, feature], threshold, default_left)
             nodes["left"][node] = left = add_node()
             add_node()  # the right child, numbered left + 1
             next_frontier += [(left, rows[go_left]), (left + 1, rows[~go_left])]
@@ -322,9 +327,7 @@ def _tree_outputs(tree: Tree, X: np.ndarray) -> np.ndarray:
         if f < 0:
             out[idx] = tree.value[node]
             continue
-        x = X[idx, f]
-        go_left = x < tree.threshold[node]
-        go_left[np.isnan(x)] = tree.default_left[node]
+        go_left = _goes_left(X[idx, f], tree.threshold[node], tree.default_left[node])
         stack.append((tree.left[node], idx[go_left]))
         stack.append((tree.left[node] + 1, idx[~go_left]))
     return out

@@ -7,10 +7,11 @@ random candidates plus coordinate-wise local refinement. Parameters marked
 log2 decode as 2^raw; integers round half away from zero.
 
 A fit evaluates the likelihood thousands of times on kernel matrices of
-under 50 x 50, where call overhead outweighs the arithmetic. So the
-likelihood factors with LAPACK's dpotrf and solves with dpotrs directly
-(the routines behind scipy.linalg.cholesky and cho_solve, without their
-input checks), and each fit computes the point differences once.
+under 50 x 50, where call overhead outweighs the arithmetic. So the GP
+calls LAPACK without scipy.linalg's input checks: one function builds the
+kernel matrix from the point differences (computed once per fit) and
+factors it with dpotrf, the likelihood and the final fit solve with dpotrs,
+and the posterior solves with dtrtrs.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def initial_design(n_init: int, seed: int) -> np.ndarray:
 # Gaussian process surrogate
 
 
-def _matern52(t: np.ndarray) -> np.ndarray:
-    """Matern-5/2 correlation as a function of t = sqrt(5) * scaled distance."""
-    return (1.0 + t + t * t / 3.0) * np.exp(-t)
+def _matern52(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Matern-5/2 correlation at t = sqrt(5) * scaled distance, given e = exp(-t)."""
+    return (1.0 + t + t * t / 3.0) * e
 
 
 def _kernel_parts(D: np.ndarray, ell: np.ndarray):
@@ -111,10 +112,19 @@ def _kernel_parts(D: np.ndarray, ell: np.ndarray):
     return S, T
 
 
-def _cholesky(K: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of K from LAPACK's dpotrf, or None if K is not positive definite."""
+def _factor_kernel(D: np.ndarray, ell: np.ndarray, sf2: float, noise: float):
+    """K = sf2 * M + noise * I of the difference tensor, factored with LAPACK's dpotrf.
+
+    Returns S and T from ``_kernel_parts``, E = exp(-T), the Matern matrix M and
+    K's lower Cholesky factor L, which is None when K is not positive definite.
+    """
+    S, T = _kernel_parts(D, ell)
+    E = np.exp(-T)
+    M = _matern52(T, E)
+    K = sf2 * M
+    K[np.diag_indices(len(K))] += noise
     L, info = scipy.linalg.lapack.dpotrf(K, lower=1, clean=1)
-    return L if info == 0 else None
+    return S, T, E, M, (L if info == 0 else None)
 
 
 def _nll_and_grad(theta: np.ndarray, D: np.ndarray, z: np.ndarray, noise: float):
@@ -125,14 +135,8 @@ def _nll_and_grad(theta: np.ndarray, D: np.ndarray, z: np.ndarray, noise: float)
     factor scores 1e25 with a zero gradient.
     """
     n, _, d = D.shape
-    ell = np.exp(theta[:d])
     sf2 = np.exp(theta[d])
-    S, T = _kernel_parts(D, ell)
-    E = np.exp(-T)
-    M = (1.0 + T + T * T / 3.0) * E
-    K = sf2 * M
-    K[np.diag_indices(n)] += noise
-    L = _cholesky(K)
+    S, T, E, M, L = _factor_kernel(D, np.exp(theta[:d]), sf2, noise)
     if L is None:
         return 1e25, np.zeros(d + 1)
     alpha, _ = scipy.linalg.lapack.dpotrs(L, z, lower=1)
@@ -157,8 +161,8 @@ class GPSurrogate:
     length_scales: np.ndarray
     signal_var: float
     noise_var: float
-    _chol: np.ndarray | None = None
-    _alpha: np.ndarray | None = None
+    chol: np.ndarray  # lower Cholesky factor of the training kernel matrix
+    alpha: np.ndarray  # K^-1 z, z the standardized training values
 
     @property
     def theta(self) -> np.ndarray:
@@ -168,9 +172,9 @@ class GPSurrogate:
         """Posterior mean and sd of the latent objective, destandardized."""
         P = np.atleast_2d(np.asarray(points, dtype=np.float64))
         _, t = _kernel_parts(P[:, None, :] - self.X[None, :, :], self.length_scales)
-        Ks = self.signal_var * _matern52(t)
-        mu = self.y_mean + self.y_std * (Ks @ self._alpha)
-        V = scipy.linalg.solve_triangular(self._chol, Ks.T, lower=True)
+        Ks = self.signal_var * _matern52(t, np.exp(-t))
+        mu = self.y_mean + self.y_std * (Ks @ self.alpha)
+        V, _ = scipy.linalg.lapack.dtrtrs(self.chol, Ks.T, lower=1)
         var = np.clip(self.signal_var - (V * V).sum(axis=0), 0.0, None)
         sd = self.y_std * np.sqrt(var)
         return mu, sd
@@ -194,7 +198,7 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
         raise ValueError("X and y lengths differ")
     if not np.all(np.isfinite(y)):
         raise ValueError("objective values must be finite")
-    n, d = X.shape
+    d = X.shape[1]
     y_mean = float(np.mean(y))
     y_std = float(np.std(y))
     if y_std < _SD_FLOOR:
@@ -226,20 +230,13 @@ def gp_fit(X, y, seed: int = 0, warm_start: np.ndarray | None = None) -> GPSurro
 
     ell = np.exp(best_theta[:d])
     sf2 = float(np.exp(best_theta[d]))
-    _, T = _kernel_parts(D, ell)
-    M = _matern52(T)
     noise = _NUGGET_FLOOR
-    while True:
-        K = sf2 * M
-        K[np.diag_indices(n)] += noise
-        L = _cholesky(K)
-        if L is not None:
-            break
+    while (L := _factor_kernel(D, ell, sf2, noise)[-1]) is None:
         noise *= 10.0
         if noise > _NUGGET_CAP:
             raise TuneError("kernel matrix singular even at maximum nugget")
     alpha, _ = scipy.linalg.lapack.dpotrs(L, z, lower=1)
-    return GPSurrogate(X, y_mean, y_std, ell, sf2, noise, _chol=L, _alpha=alpha)
+    return GPSurrogate(X, y_mean, y_std, ell, sf2, noise, L, alpha)
 
 
 def ei_value(mu, sd, best):
@@ -363,6 +360,8 @@ def tune(
     at least one configuration is always evaluated.
     """
     if n_init is None:
+        if budget < 2:
+            raise TuneError(f"budget must be >= 2, got {budget} (the initial design's n_init must be >= 2)")
         n_init = min(2 * len(SPACE), budget)
     if n_init < 2:
         raise TuneError(f"n_init must be >= 2, got {n_init}")

@@ -73,7 +73,7 @@ def optimize_binary(prob: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, fl
     window = _N_STEPS // _N_STARTS
     for lo in range(0, _N_STEPS, window):
         local = lo + int(np.argmin(values[lo : lo + window]))
-        candidates.append((float(grid[local]), float(values[local])))
+        # Offset 0 of the fine grid is the window's best grid point itself.
         fine = grid[local] + (spacing / 10.0) * np.arange(-9, 10)
         fine = fine[(fine > 0.0) & (fine < 1.0)]
         candidates.extend(zip(fine.tolist(), _errors(prob, truth, fine).tolist()))

@@ -19,6 +19,7 @@ from autoboost.gbt import (
     predict,
     split_gain,
     train,
+    _tree_outputs,
 )
 
 from conftest import binary_margin_dataset, numeric_binary_dataset
@@ -287,6 +288,48 @@ class TestSplitTieRule:
             return
         gain, f, thr, default_left = oracle
         assert_split_matches_oracle(tree, (gain, cols[f], thr, default_left), margin, X, g, h, lam)
+
+
+def walk_to_leaf(tree, x):
+    """The leaf one row reaches: below the threshold goes left, NaN follows default_left."""
+    node = 0
+    while tree.feature[node] >= 0:
+        v = x[tree.feature[node]]
+        go_left = bool(tree.default_left[node]) if math.isnan(v) else v < tree.threshold[node]
+        node = tree.left[node] if go_left else tree.left[node] + 1
+    return node
+
+
+@st.composite
+def tree_cases(draw):
+    """Integer-valued columns (ties) with NaN shares up to 0.4, a depth of 1 to 4,
+    random positive hessians, lambda 0 or 1 and alpha 0 or 0.5."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(2, 8)), size=(n, d)).astype(float)
+    X[rng.uniform(size=(n, d)) < draw(st.floats(0.0, 0.4))] = np.nan
+    params = dict(
+        max_depth=draw(st.integers(1, 4)), reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.5])), gamma=0.0, eta=0.3,
+    )
+    return X, rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), params
+
+
+class TestGrowthMatchesApplication:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(tree_cases())
+    def test_leaves_hold_the_rows_the_walk_sends_them(self, case):
+        X, g, h, params = case
+        tree = build_tree(X, g, h, **params)
+        leaf = np.asarray([walk_to_leaf(tree, x) for x in X])
+        np.testing.assert_array_equal(_tree_outputs(tree, X), tree.value[leaf])
+        for node in np.flatnonzero(tree.feature < 0):
+            rows = np.flatnonzero(leaf == node)  # ascending, as growth keeps them
+            want = params["eta"] * leaf_weight(
+                float(g[rows].sum()), float(h[rows].sum()), params["reg_lambda"], params["reg_alpha"]
+            )
+            assert tree.value[node] == want
 
 
 def arrays(ds):

@@ -12,7 +12,7 @@ from autoboost.data import Column, DataError, Dataset, SchemaError, split_holdou
 from autoboost.encoding import transform
 from autoboost.gbt import predict as gbt_predict
 from autoboost.metrics import logloss, mmce, rmse
-from autoboost.smbo import SPACE, decode_config
+from autoboost.smbo import SPACE, TuneError, decode_config
 from autoboost.cli import main
 from autoboost.pipeline import (
     AutoConfig,
@@ -178,6 +178,11 @@ class TestFit:
         )
         with pytest.raises(ValueError, match="deadline must be a finite number of seconds"):
             autogbt_fit(d, AutoConfig(budget=2, deadline=deadline, max_rounds=2))
+
+    def test_budget_below_two_names_the_budget(self):
+        train = binary_margin_dataset(60, seed=8)
+        with pytest.raises(TuneError, match=r"budget must be >= 2, got 1"):
+            autogbt_fit(train, AutoConfig(budget=1, deadline=60.0, max_rounds=5))
 
 
 class TestPredict:

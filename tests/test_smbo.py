@@ -280,6 +280,14 @@ class TestProposeAndTune:
         with pytest.raises(TuneError, match="budget"):
             tune(sphere, budget=4, n_init=8, seed=1)
 
+    def test_budget_below_two_names_the_budget(self):
+        with pytest.raises(TuneError, match=r"budget must be >= 2, got 1"):
+            tune(sphere, budget=1, seed=1)
+
+    def test_explicit_n_init_below_two_names_n_init(self):
+        with pytest.raises(TuneError, match=r"^n_init must be >= 2, got 1$"):
+            tune(sphere, budget=4, n_init=1, seed=1)
+
     def test_proposals_concentrate_on_active_dimension(self):
         # Objective depends on one coordinate only; model-based proposals
         # should sit closer to its minimizer than uniform random points do.
