@@ -1,12 +1,22 @@
 """Gradient-boosted regression trees with second-order loss expansion.
 
-Trees are grown by exact greedy split search over feature values sorted per
-node, with the regularized gain of second-order boosting, learned default
-directions for missing values, row subsampling, and column subsampling both
-per tree and per depth level. Boosting-round count is chosen by early
-stopping on a validation set. The booster works on arrays: a feature matrix
-and integer class indices (or float targets) in, trees as parallel node
-arrays out.
+Trees are grown by exact greedy split search, with the regularized gain of
+second-order boosting, learned default directions for missing values, row
+subsampling, and column subsampling both per tree and per depth level.
+Boosting-round count is chosen by early stopping on a validation set. The
+booster works on arrays: a feature matrix and integer class indices (or
+float targets) in, trees as parallel node arrays out.
+
+Split search reads pre-sorted column blocks (Chen & Guestrin 2016, §4.1).
+Each tree sorts its columns once, at the root, into a C-contiguous
+``(columns, rows)`` block of row ids, stably with NaNs last. A split hands
+each child the part of its node's block that the split rule sends it, by a
+boolean compress that keeps each column's order, so a node's block is the
+stable argsort of its own rows and the trees are those a sort per node
+grows, to the bit. To keep that, the sums whose order sets their last bits
+are taken as a sort per node takes them: the node totals and each column's
+missing sums are 1-D sums (a 2-D row reduction sums in another order), and
+the right sums with the missing rows left are ``(total - left) - missing``.
 """
 
 from __future__ import annotations
@@ -139,18 +149,19 @@ def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float
 
     (1/2) [GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)] - gamma.
     Works elementwise on arrays; candidates with a zero denominator come out
-    as -inf so they can never be selected.
+    as -inf so they can never be selected. Where a denominator can be zero,
+    call it under ``np.errstate(divide="ignore", invalid="ignore")``, as
+    ``build_tree`` does once per tree.
     """
     g_left = np.asarray(g_left, dtype=np.float64)
     h_left = np.asarray(h_left, dtype=np.float64)
     g_right = np.asarray(g_right, dtype=np.float64)
     h_right = np.asarray(h_right, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (
-            g_left**2 / (h_left + reg_lambda)
-            + g_right**2 / (h_right + reg_lambda)
-            - (g_left + g_right) ** 2 / (h_left + h_right + reg_lambda)
-        ) - gamma
+    gain = 0.5 * (
+        g_left**2 / (h_left + reg_lambda)
+        + g_right**2 / (h_right + reg_lambda)
+        - (g_left + g_right) ** 2 / (h_left + h_right + reg_lambda)
+    ) - gamma
     return np.where(np.isfinite(gain), gain, _NEG_INF)
 
 
@@ -182,59 +193,65 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _best_split(X, g, h, rows, cols, reg_lambda, gamma):
+def _best_split(X, gh, rows, srt, cols, reg_lambda, gamma):
     """Exact greedy search over (feature, threshold, default direction).
 
-    All columns of the node are sorted once, as one ``rows x cols`` block; a
-    candidate lies between two distinct adjacent present values, and its sums
-    are cumulative sums of the sorted gradients. The result equals a scan
-    feature-ascending, threshold-ascending, missing-default left before right,
-    where only a strictly larger gain replaces the best, so ties go to the
-    earliest candidate. Returns ``(gain, feature, threshold, default_left)``,
-    or None when no candidate has a positive gain.
+    ``gh`` stacks the gradients and hessians, indexed like the rows of ``X``.
+    ``rows`` are the node's row ids, ascending, and ``srt`` is its sorted
+    block: one row per feature in ``cols``, holding the node's row ids in
+    ascending order of that feature's value, NaNs last, ties by row id. A
+    candidate lies between two distinct adjacent present values, and its
+    sums are cumulative sums of ``gh`` gathered in that order.
+
+    The result equals a scan feature-ascending, threshold-ascending, missing
+    default left before right, where only a strictly larger gain replaces the
+    best, so ties go to the earliest candidate. The sums keep the order that
+    fixes their last bits, so that the split is the one a per-node sort finds:
+    the node totals are 1-D sums over ``rows``, each column's missing sums
+    are 1-D sums of its NaN tail, and the right sums with the missing rows
+    left are ``(total - left) - missing``. Call it under
+    ``np.errstate(divide="ignore", invalid="ignore")``, as ``build_tree`` does.
+    Returns ``(gain, feature, threshold, default_left)``, or None when no
+    candidate has a positive gain.
     """
-    g_node = g[rows]
-    h_node = h[rows]
-    g_total = float(g_node.sum())
-    h_total = float(h_node.sum())
-    block = X[np.ix_(rows, cols)]
-    # A stable sort puts each column's NaNs last, in row order.
-    order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
-    gs = g_node[order]
-    hs = h_node[order]
-    # Missing-row sums as the 1-D sum over the same rows in the same order,
-    # which a column reduction of the block would not reproduce to the bit.
-    n_miss = np.isnan(block).sum(axis=0)
-    g_miss = np.zeros(len(cols))
-    h_miss = np.zeros(len(cols))
-    for f in np.flatnonzero(n_miss):
-        g_miss[f] = gs[-n_miss[f]:, f].sum()
-        h_miss[f] = hs[-n_miss[f]:, f].sum()
-
-    g_left = np.cumsum(gs, axis=0)[:-1]
-    h_left = np.cumsum(hs, axis=0)[:-1]
+    totals = np.array([gh[0, rows].sum(), gh[1, rows].sum()])[:, None, None, None]
+    xs = X[srt, cols[:, None]]
+    ghs = gh[:, srt]
+    # Axes (g or h, default direction, column, position): the missing rows go
+    # left, then right. The right direction adds a zero missing sum, which
+    # turns -0.0 into 0.0 at most and leaves every gain as it was.
+    miss = np.zeros((2, 2, len(cols), 1))
+    for f, n_miss in enumerate(np.isnan(xs).sum(axis=1).tolist()):
+        if n_miss:
+            miss[0, 0, f, 0] = ghs[0, f, -n_miss:].sum()
+            miss[1, 0, f, 0] = ghs[1, f, -n_miss:].sum()
+    left = np.cumsum(ghs, axis=2)[:, None, :, :-1]
+    gains = split_gain(*(left + miss), *((totals - left) - miss), reg_lambda, gamma)
     # NaN compares false, so no boundary reaches into the missing rows.
-    boundary = xs[:-1] < xs[1:]
-
-    # Missing rows on the left, then on the right.
-    gains_l = split_gain(
-        g_left + g_miss, h_left + h_miss,
-        g_total - g_left - g_miss, h_total - h_left - h_miss,
-        reg_lambda, gamma,
-    )
-    gains_r = split_gain(g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma)
-    # Rows of (position, direction) run threshold-ascending, left before
-    # right, so a column's first maximum is the scan's pick for that column.
-    gains = np.where(boundary[:, None], np.stack([gains_l, gains_r], axis=1), _NEG_INF)
-    gains = gains.reshape(-1, len(cols))
-    best = int(np.argmax(gains.max(axis=0)))  # the first column among equal gains
-    i = int(np.argmax(gains[:, best]))
-    if not gains[i, best] > 0.0:
+    gains = np.where(xs[:, :-1] < xs[:, 1:], gains, _NEG_INF)
+    best = int(gains.max(axis=(0, 2)).argmax())  # the first column among equal gains
+    # The column's first maximum, position first and then left before right,
+    # is the scan's pick for that column.
+    pos, right = divmod(int(gains[:, best].T.argmax()), 2)
+    gain = gains[right, best, pos]
+    if not gain > 0.0:
         return None
-    pos, right = divmod(i, 2)
-    threshold = 0.5 * (xs[pos, best] + xs[pos + 1, best])
-    return float(gains[i, best]), int(cols[best]), float(threshold), not right
+    return float(gain), int(cols[best]), _threshold(xs[best, pos], xs[best, pos + 1]), not right
+
+
+def _threshold(lo, hi) -> float:
+    """The midpoint of two adjacent present values, or else a value in (lo, hi].
+
+    The midpoint is taken on Python floats, which give inf on overflow without
+    a warning. It fails when ``lo + hi`` overflows, or when the values are
+    adjacent floats and it rounds down to ``lo``; a threshold of ``lo`` would
+    send both values right.
+    """
+    lo, hi = float(lo), float(hi)
+    t = 0.5 * (lo + hi)
+    if not lo < t <= hi:
+        t = 0.5 * lo + 0.5 * hi
+    return t if lo < t <= hi else hi
 
 
 def _goes_left(x: np.ndarray, threshold: float, default_left: bool) -> np.ndarray:
@@ -273,6 +290,10 @@ def build_tree(
     level draws its own column subset (shared by all nodes of that level). A
     branch stops at ``max_depth`` or when no candidate has gain > 0. Leaf
     weights carry the learning rate already.
+
+    The columns are sorted once per tree, at the root, and each split
+    partitions its node's sorted block into the children's (see the module
+    docstring).
     """
     if rows is None:
         rows = np.arange(len(X))
@@ -292,27 +313,47 @@ def build_tree(
             float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha
         )
 
-    frontier: list[tuple[int, np.ndarray]] = [(add_node(), rows)]
-    for _ in range(max_depth):
-        if not frontier:
-            break
-        level_cols = _sample_cols(cols, colsample_bylevel, rng)
-        next_frontier: list[tuple[int, np.ndarray]] = []
-        for node, rows in frontier:
-            split = _best_split(X, g, h, rows, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
-            if split is None:
-                finish_leaf(node, rows)
-                continue
-            _, feature, threshold, default_left = split
-            nodes["feature"][node] = feature
-            nodes["threshold"][node] = threshold
-            nodes["default_left"][node] = default_left
-            go_left = _goes_left(X[rows, feature], threshold, default_left)
-            nodes["left"][node] = left = add_node()
-            add_node()  # the right child, numbered left + 1
-            next_frontier += [(left, rows[go_left]), (left + 1, rows[~go_left])]
-        frontier = next_frontier
-    for node, rows in frontier:
+    # A stable sort keeps tied values in row order and puts NaNs last.
+    srt = rows[np.argsort(X[np.ix_(rows, cols)].T, axis=1, kind="stable")]
+    position = np.empty(X.shape[1], dtype=np.intp)  # a column's row in the block
+    position[cols] = np.arange(len(cols))
+    gh = np.stack([g, h])
+    side = np.empty(len(X), dtype=bool)  # goes left, for the rows of the split being made
+    frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = [(add_node(), rows, srt)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for depth in range(max_depth):
+            if not frontier:
+                break
+            level_cols = _sample_cols(cols, colsample_bylevel, rng)
+            # _sample_cols hands back cols itself when it keeps them all.
+            level = None if level_cols is cols else position[level_cols]
+            last = depth == max_depth - 1  # its children are leaves and need no block
+            next_frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+            for node, rows, srt in frontier:
+                block = srt if level is None else srt[level]
+                split = _best_split(X, gh, rows, block, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
+                if split is None:
+                    finish_leaf(node, rows)
+                    continue
+                _, feature, threshold, default_left = split
+                nodes["feature"][node] = feature
+                nodes["threshold"][node] = threshold
+                nodes["default_left"][node] = default_left
+                go_left = _goes_left(X[rows, feature], threshold, default_left)
+                nodes["left"][node] = left = add_node()
+                add_node()  # the right child, numbered left + 1
+                rows_left, rows_right = rows[go_left], rows[~go_left]
+                if last:
+                    next_frontier += [(left, rows_left, None), (left + 1, rows_right, None)]
+                    continue
+                side[rows] = go_left
+                to_left = side[srt]
+                next_frontier += [
+                    (left, rows_left, srt[to_left].reshape(len(cols), len(rows_left))),
+                    (left + 1, rows_right, srt[~to_left].reshape(len(cols), len(rows_right))),
+                ]
+            frontier = next_frontier
+    for node, rows, _ in frontier:
         finish_leaf(node, rows)
     return Tree.from_lists(**nodes)
 

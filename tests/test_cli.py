@@ -368,6 +368,27 @@ class TestCliCommands:
         assert "dataset has no feature columns" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_values_near_the_float_limit_fit_save_and_predict(self, tmp_path):
+        # Half the sum of two such neighbours overflows to inf, which JSON cannot store.
+        x = np.random.default_rng(0).uniform(1.0e308, 1.7e308, size=200)
+        train = tmp_path / "train.csv"
+        train.write_text("x,label\n" + "".join(
+            f"{float(v)!r},{'yes' if v > 1.35e308 else 'no'}\n" for v in x
+        ))
+        bundle = tmp_path / "model.bundle"
+        code = main(["fit", "--data", str(train), "--target", "label", "--budget", "4",
+                     "--max-rounds", "10", "--out", str(bundle)])
+        assert code == 0
+        thresholds = [t for group in load(bundle).model.rounds for tree in group
+                      for t in tree.threshold[tree.feature >= 0]]
+        assert thresholds and all(1.0e308 < t <= 1.7e308 for t in thresholds)
+        data = tmp_path / "features.csv"
+        data.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x[:20]))
+        out = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(bundle), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 21
+
     def test_regression_fit_predict_roundtrip(self, tmp_path):
         train = dataset_to_csv(linear_regression_dataset(120, seed=3), tmp_path / "train.csv")
         bundle = tmp_path / "model.bundle"

@@ -19,6 +19,7 @@ from autoboost.gbt import (
     predict,
     split_gain,
     train,
+    _sample_cols,
     _tree_outputs,
 )
 
@@ -277,6 +278,17 @@ class TestSplitTieRule:
         for got, want in zip(on_rows, copied):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, 1.0 + 2.0**-52),  # adjacent floats, whose midpoint rounds down to lo
+        (1.2e308, 1.5e308),  # lo + hi overflows to inf
+        (-1.7e308, -1.2e308),  # lo + hi overflows to -inf
+    ])
+    def test_threshold_lies_above_lo_and_splits_the_rows(self, lo, hi):
+        X = np.asarray([lo, lo, hi, hi])[:, None]
+        tree = depth1_tree(X, np.asarray([-1.0, -1.0, 1.0, 1.0]), np.ones(4), lam=1.0)
+        assert lo < tree.threshold[0] <= hi
+        np.testing.assert_array_equal(_tree_outputs(tree, X), [2 / 3, 2 / 3, -2 / 3, -2 / 3])
+
     @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
     @given(split_cases())
     def test_column_subset_matches_oracle(self, case):
@@ -330,6 +342,113 @@ class TestGrowthMatchesApplication:
                 float(g[rows].sum()), float(h[rows].sum()), params["reg_lambda"], params["reg_alpha"]
             )
             assert tree.value[node] == want
+
+
+def reference_split(X, g, h, rows, cols, reg_lambda, gamma):
+    """The split search of a node on its own stable argsort, one gain call per direction.
+
+    Returns ``(feature, threshold, default_left)`` or None. The threshold is
+    the plain midpoint, which is exact for the integer-valued columns drawn here.
+    """
+    g_node, h_node = g[rows], h[rows]
+    g_total, h_total = float(g_node.sum()), float(h_node.sum())
+    block = X[np.ix_(rows, cols)]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    gs, hs = g_node[order], h_node[order]
+    n_miss = np.isnan(block).sum(axis=0)
+    g_miss, h_miss = np.zeros(len(cols)), np.zeros(len(cols))
+    for f in np.flatnonzero(n_miss):
+        g_miss[f] = gs[-n_miss[f]:, f].sum()
+        h_miss[f] = hs[-n_miss[f]:, f].sum()
+    g_left = np.cumsum(gs, axis=0)[:-1]
+    h_left = np.cumsum(hs, axis=0)[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains_l = split_gain(
+            g_left + g_miss, h_left + h_miss,
+            g_total - g_left - g_miss, h_total - h_left - h_miss, reg_lambda, gamma,
+        )
+        gains_r = split_gain(g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma)
+    boundary = xs[:-1] < xs[1:]
+    gains = np.where(boundary[:, None], np.stack([gains_l, gains_r], axis=1), -np.inf)
+    gains = gains.reshape(-1, len(cols))
+    best = int(np.argmax(gains.max(axis=0)))
+    i = int(np.argmax(gains[:, best]))
+    if not gains[i, best] > 0.0:
+        return None
+    pos, right = divmod(i, 2)
+    return int(cols[best]), float(0.5 * (xs[pos, best] + xs[pos + 1, best])), not right
+
+
+def reference_tree(X, g, h, rows, *, max_depth, reg_lambda, reg_alpha, gamma, eta, cols,
+                   colsample_bylevel, rng):
+    """Depth-wise growth that sorts every node's rows anew and keeps them ascending."""
+    nodes = {name: [] for name in Tree._fields}
+
+    def add_node():
+        for name, fresh in zip(Tree._fields, (-1, 0.0, True, -1, 0.0)):
+            nodes[name].append(fresh)
+        return len(nodes["feature"]) - 1
+
+    def finish_leaf(node, rows):
+        nodes["value"][node] = eta * leaf_weight(
+            float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha
+        )
+
+    frontier = [(add_node(), rows)]
+    for _ in range(max_depth):
+        if not frontier:
+            break
+        level_cols = _sample_cols(cols, colsample_bylevel, rng)
+        next_frontier = []
+        for node, rows in frontier:
+            split = reference_split(X, g, h, rows, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
+            if split is None:
+                finish_leaf(node, rows)
+                continue
+            feature, threshold, default_left = split
+            nodes["feature"][node], nodes["threshold"][node] = feature, threshold
+            nodes["default_left"][node] = default_left
+            x = X[rows, feature]
+            go_left = np.where(np.isnan(x), default_left, x < threshold)
+            nodes["left"][node] = left = add_node()
+            add_node()
+            next_frontier += [(left, rows[go_left]), (left + 1, rows[~go_left])]
+        frontier = next_frontier
+    for node, rows in frontier:
+        finish_leaf(node, rows)
+    return Tree.from_lists(**nodes)
+
+
+@st.composite
+def growth_cases(draw):
+    """Integer-valued columns (ties) with NaN shares up to 0.4, a row subset, an
+    ascending column subset, column sampling per level, a depth of 1 to 5 and
+    lambda 0 or 1."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.integers(2, 8)), size=(n, d)).astype(float)
+    X[rng.uniform(size=(n, d)) < draw(st.floats(0.0, 0.4))] = np.nan
+    rows = np.sort(rng.choice(n, size=draw(st.integers(1, n)), replace=False))
+    cols = np.asarray(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    params = dict(
+        max_depth=draw(st.integers(1, 5)), reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.5])), gamma=draw(st.sampled_from([0.0, 0.1])),
+        eta=0.3, cols=cols, colsample_bylevel=draw(st.sampled_from([1.0, 0.75, 0.5, 0.3])),
+    )
+    return X, rng.normal(size=n), rng.uniform(0.1, 2.0, size=n), rows, params, draw(st.integers(0, 99))
+
+
+class TestGrowthMatchesPerNodeSort:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(growth_cases())
+    def test_sorted_blocks_grow_the_tree_of_a_sort_per_node(self, case):
+        X, g, h, rows, params, seed = case
+        got = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        want = reference_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        for name, a, b in zip(Tree._fields, got, want):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def arrays(ds):
