@@ -17,6 +17,15 @@ grows, to the bit. To keep that, the sums whose order sets their last bits
 are taken as a sort per node takes them: the node totals and each column's
 missing sums are 1-D sums (a 2-D row reduction sums in another order), and
 the right sums with the missing rows left are ``(total - left) - missing``.
+
+Two split rules follow XGBoost at its defaults (Chen & Guestrin 2016, eq. 7;
+``CalcGain`` in XGBoost's ``src/tree/param.h``). A candidate is valid only
+when each child's hessian sum, its missing rows counted on their default
+side, is at least ``MIN_CHILD_WEIGHT`` (XGBoost's ``min_child_weight``,
+default 1), and a node whose hessian sum is below ``2 * MIN_CHILD_WEIGHT``
+is a leaf without a search. The gain soft-thresholds the gradient sums by
+``reg_alpha``, as the leaf weight does. For binary log loss h = p(1-p) <=
+0.25, so a child holds at least 4 rows; for squared error h = 1 per row.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from .data import DataError
 from .metrics import logloss, mmce, rmse
 
 _NEG_INF = -np.inf
+# XGBoost's min_child_weight at its default. A constant, not a tuned
+# parameter: the paper's search space has eight, and this is not among them.
+MIN_CHILD_WEIGHT = 1.0
 
 
 @dataclass
@@ -144,10 +156,12 @@ def loss_grad_hess(task: str, scores: np.ndarray, y: np.ndarray):
     raise ValueError(f"unknown task {task!r}")
 
 
-def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float):
+def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float, reg_alpha: float = 0.0):
     """Regularized gain of splitting a node into (left, right) halves.
 
-    (1/2) [GL^2/(HL+lambda) + GR^2/(HR+lambda) - (GL+GR)^2/(HL+HR+lambda)] - gamma.
+    (1/2) [T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda) - T(GL+GR)^2/(HL+HR+lambda)] - gamma,
+    where T(G) = sign(G) max(|G| - alpha, 0) is the L1 soft-threshold that
+    ``leaf_weight`` applies too; with alpha = 0, T(G) = G.
     Works elementwise on arrays; candidates with a zero denominator come out
     as -inf so they can never be selected. Where a denominator can be zero,
     call it under ``np.errstate(divide="ignore", invalid="ignore")``, as
@@ -157,12 +171,20 @@ def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float
     h_left = np.asarray(h_left, dtype=np.float64)
     g_right = np.asarray(g_right, dtype=np.float64)
     h_right = np.asarray(h_right, dtype=np.float64)
+    g_node = _soft_threshold(g_left + g_right, reg_alpha)
+    g_left = _soft_threshold(g_left, reg_alpha)
+    g_right = _soft_threshold(g_right, reg_alpha)
     gain = 0.5 * (
         g_left**2 / (h_left + reg_lambda)
         + g_right**2 / (h_right + reg_lambda)
-        - (g_left + g_right) ** 2 / (h_left + h_right + reg_lambda)
+        - g_node**2 / (h_left + h_right + reg_lambda)
     ) - gamma
     return np.where(np.isfinite(gain), gain, _NEG_INF)
+
+
+def _soft_threshold(g, reg_alpha: float):
+    """The L1 soft-threshold sign(G) * max(|G| - alpha, 0), elementwise."""
+    return np.sign(g) * np.maximum(np.abs(g) - reg_alpha, 0.0)
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float, reg_alpha: float) -> float:
@@ -174,8 +196,7 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float, reg_alpha: float)
     denom = h_sum + reg_lambda
     if denom <= 0.0:
         return 0.0
-    soft = np.sign(g_sum) * max(abs(g_sum) - reg_alpha, 0.0)
-    return float(-soft / denom)
+    return float(-_soft_threshold(g_sum, reg_alpha) / denom)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -193,15 +214,17 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _best_split(X, gh, rows, srt, cols, reg_lambda, gamma):
+def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma):
     """Exact greedy search over (feature, threshold, default direction).
 
     ``gh`` stacks the gradients and hessians, indexed like the rows of ``X``.
     ``rows`` are the node's row ids, ascending, and ``srt`` is its sorted
     block: one row per feature in ``cols``, holding the node's row ids in
     ascending order of that feature's value, NaNs last, ties by row id. A
-    candidate lies between two distinct adjacent present values, and its
-    sums are cumulative sums of ``gh`` gathered in that order.
+    candidate lies between two distinct adjacent present values, each of its
+    children has a hessian sum of at least ``MIN_CHILD_WEIGHT`` (the missing
+    rows counted on their default side), and its sums are cumulative sums of
+    ``gh`` gathered in that order.
 
     The result equals a scan feature-ascending, threshold-ascending, missing
     default left before right, where only a strictly larger gain replaces the
@@ -212,7 +235,7 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, gamma):
     left are ``(total - left) - missing``. Call it under
     ``np.errstate(divide="ignore", invalid="ignore")``, as ``build_tree`` does.
     Returns ``(gain, feature, threshold, default_left)``, or None when no
-    candidate has a positive gain.
+    valid candidate has a positive gain.
     """
     totals = np.array([gh[0, rows].sum(), gh[1, rows].sum()])[:, None, None, None]
     xs = X[srt, cols[:, None]]
@@ -225,10 +248,13 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, gamma):
         if n_miss:
             miss[0, 0, f, 0] = ghs[0, f, -n_miss:].sum()
             miss[1, 0, f, 0] = ghs[1, f, -n_miss:].sum()
-    left = np.cumsum(ghs, axis=2)[:, None, :, :-1]
-    gains = split_gain(*(left + miss), *((totals - left) - miss), reg_lambda, gamma)
+    cum = np.cumsum(ghs, axis=2)[:, None, :, :-1]
+    sums_l, sums_r = cum + miss, (totals - cum) - miss
     # NaN compares false, so no boundary reaches into the missing rows.
-    gains = np.where(xs[:, :-1] < xs[:, 1:], gains, _NEG_INF)
+    valid = (xs[:, :-1] < xs[:, 1:]) & (sums_l[1] >= MIN_CHILD_WEIGHT) & (sums_r[1] >= MIN_CHILD_WEIGHT)
+    if not valid.any():
+        return None
+    gains = np.where(valid, split_gain(*sums_l, *sums_r, reg_lambda, gamma, reg_alpha), _NEG_INF)
     best = int(gains.max(axis=(0, 2)).argmax())  # the first column among equal gains
     # The column's first maximum, position first and then left before right,
     # is the scan's pick for that column.
@@ -288,7 +314,8 @@ def build_tree(
     ``g`` and ``h`` are indexed like the rows of ``X``, and the tree grows on
     the row indices ``rows``, all rows by default. Growth is depth-wise; every
     level draws its own column subset (shared by all nodes of that level). A
-    branch stops at ``max_depth`` or when no candidate has gain > 0. Leaf
+    branch stops at ``max_depth``, at a node whose hessian sum is below
+    ``2 * MIN_CHILD_WEIGHT``, or when no valid candidate has gain > 0. Leaf
     weights carry the learning rate already.
 
     The columns are sorted once per tree, at the root, and each split
@@ -331,7 +358,9 @@ def build_tree(
             next_frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = []
             for node, rows, srt in frontier:
                 block = srt if level is None else srt[level]
-                split = _best_split(X, gh, rows, block, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
+                split = None
+                if h[rows].sum() >= 2 * MIN_CHILD_WEIGHT:
+                    split = _best_split(X, gh, rows, block, level_cols, reg_lambda, reg_alpha, gamma)
                 if split is None:
                     finish_leaf(node, rows)
                     continue

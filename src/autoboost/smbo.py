@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
+
+from .data import DataError
 
 _SQRT5 = math.sqrt(5.0)
 _NUGGET_FLOOR = 1e-8
@@ -354,8 +357,11 @@ def tune(
     Non-finite objective values are recorded as a penalty, the worst plus
     the range of the finite values the objective has returned so far
     (earlier penalties never enter it), and the loop continues; failures in
-    the initial design share the penalty computed after the design. If the
-    design yields no finite value at all the run errors out. The wall-clock
+    the initial design share the penalty computed after the design. An
+    exception from the objective, other than ``DataError``, which no other
+    configuration can fix, counts as a non-finite value and is reported as
+    a warning. If the design yields no finite value at all the run raises
+    ``TuneError``, chained from the design's first exception. The wall-clock
     deadline is checked before every evaluation except the very first, so
     at least one configuration is always evaluated.
     """
@@ -371,12 +377,14 @@ def tune(
     start = time.monotonic()
     state = TuneState(budget=budget, seed=seed)
     returned: list[float] = []
+    first_error = None
     for i, pt in enumerate(initial_design(n_init, seed)):
         if i > 0 and time.monotonic() - start > deadline:
             break
-        _evaluate(state, objective, pt, start, returned, penalize=False)
+        error = _evaluate(state, objective, pt, start, returned, penalize=False)
+        first_error = first_error or error
     if not returned:
-        raise TuneError("all initial evaluations returned non-finite values")
+        raise TuneError("all initial evaluations returned non-finite values") from first_error
     penalty = _penalty_value(returned)
     for r in state.evaluated:
         if not math.isfinite(r.value):
@@ -397,8 +405,19 @@ def tune(
 def _evaluate(
     state: TuneState, objective, point: np.ndarray, start: float, returned: list[float], penalize: bool
 ):
-    """Record one evaluation; a finite value also joins ``returned``."""
-    value = float(objective(point))
+    """Record one evaluation; a finite value also joins ``returned``.
+
+    Returns the exception the objective raised, if any, after recording it
+    as a non-finite value.
+    """
+    error = None
+    try:
+        value = float(objective(point))
+    except DataError:
+        raise
+    except Exception as exc:
+        warnings.warn(f"evaluation {len(state.evaluated) + 1} failed and counts as non-finite: {exc!r}")
+        error, value = exc, math.nan
     if math.isfinite(value):
         returned.append(value)
     elif penalize:
@@ -409,6 +428,7 @@ def _evaluate(
         value=value,
         elapsed=time.monotonic() - start,
     ))
+    return error
 
 
 def _penalty_value(returned: list[float]) -> float:

@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoboost.data import Column, DataError, Dataset
+from unittest import mock
+
+from autoboost import gbt
 from autoboost.gbt import (
+    MIN_CHILD_WEIGHT,
     BoostedModel,
     GBTConfig,
     Tree,
@@ -114,6 +118,12 @@ class TestSplitGainLeafWeight:
     def test_symmetric_split_has_zero_gain(self):
         assert split_gain(1.0, 1.0, 1.0, 1.0, 0.0, 0.0) == 0.0
 
+    def test_alpha_soft_thresholds_each_gradient_sum(self):
+        # T(-2) = -1, T(2) = 1 and T(0) = 0: (1/2)(1/1 + 1/1 - 0/2) = 1.
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0, reg_alpha=1.0) == 1.0
+        # alpha = 2 zeroes every sum, so the split gains nothing.
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0, reg_alpha=2.0) == 0.0
+
     def test_leaf_weight_formula(self):
         assert leaf_weight(-4.0, 1.0, 1.0, 0.0) == 2.0
 
@@ -130,14 +140,21 @@ class TestSplitGainLeafWeight:
 # --- exhaustive depth-1 oracle ----------------------------------------------
 
 
-def depth1_oracle(X, g, h, lam):
+def soft(G, alpha):
+    return math.copysign(max(abs(G) - alpha, 0.0), G)
+
+
+def depth1_oracle(X, g, h, lam, alpha=0.0):
     """Enumerate every (feature, threshold, default direction) candidate.
 
-    Returns (best, margin): the winning (gain, feature, threshold,
-    default_left) tuple and the gap between it and the best candidate with a
-    different (feature, threshold, direction). Two features occasionally
-    isolate the same extreme row from opposite ends, which ties the gain
-    exactly; a near-zero margin tells the caller the argmax is not unique.
+    Candidates with a child whose hessian sum is below ``MIN_CHILD_WEIGHT``
+    are dropped after the enumeration, and the gain soft-thresholds each
+    gradient sum by ``alpha``. Returns (best, margin): the winning (gain,
+    feature, threshold, default_left) tuple and the gap between it and the
+    best candidate with a different (feature, threshold, direction). Two
+    features occasionally isolate the same extreme row from opposite ends,
+    which ties the gain exactly; a near-zero margin tells the caller the
+    argmax is not unique.
     """
     g_total, h_total = g.sum(), h.sum()
     candidates = []
@@ -151,10 +168,10 @@ def depth1_oracle(X, g, h, lam):
                 left = (x < thr) | (miss & default_left)
                 gl, hl = g[left].sum(), h[left].sum()
                 gr, hr = g_total - gl, h_total - hl
-                gain = 0.5 * (
-                    gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                    - g_total * g_total / (h_total + lam)
-                )
+                if min(hl, hr) < MIN_CHILD_WEIGHT:
+                    continue
+                sl, sr, st_ = soft(gl, alpha), soft(gr, alpha), soft(g_total, alpha)
+                gain = 0.5 * (sl * sl / (hl + lam) + sr * sr / (hr + lam) - st_ * st_ / (h_total + lam))
                 candidates.append((gain, f, thr, default_left))
     if not candidates:
         return None, np.inf
@@ -164,12 +181,12 @@ def depth1_oracle(X, g, h, lam):
     return best, margin
 
 
-def direct_gain(X, g, h, feature, thr, default_left, lam):
+def direct_gain(X, g, h, feature, thr, default_left, lam, alpha=0.0):
     x = X[:, feature]
     miss = np.isnan(x)
     left = (x < thr) | (miss & default_left)
     return float(
-        split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), lam, 0.0)
+        split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), lam, 0.0, alpha)
     )
 
 
@@ -178,7 +195,7 @@ def root_split(tree):
     return int(tree.feature[0]), float(tree.threshold[0]), bool(tree.default_left[0])
 
 
-def assert_split_matches_oracle(tree, oracle, margin, X, g, h, lam=0.0):
+def assert_split_matches_oracle(tree, oracle, margin, X, g, h, lam=0.0, alpha=0.0):
     """The root split must be the oracle's, up to exact gain ties.
 
     A unique optimum (margin above the 1e-9 tolerance) demands the identical
@@ -186,7 +203,7 @@ def assert_split_matches_oracle(tree, oracle, margin, X, g, h, lam=0.0):
     whose gain matches the optimum within 1e-9 is an equally correct answer.
     """
     gain, f, thr, default_left = oracle
-    impl_gain = direct_gain(X, g, h, *root_split(tree), lam)
+    impl_gain = direct_gain(X, g, h, *root_split(tree), lam, alpha)
     assert abs(impl_gain - gain) <= 1e-9
     if margin > 1e-9:
         assert root_split(tree) == (f, thr, default_left)
@@ -214,9 +231,9 @@ class TestExactSplitOracle:
             assert_split_matches_oracle(tree, oracle, margin, X, g, h)
 
 
-def depth1_tree(X, g, h, lam=0.0, cols=None):
+def depth1_tree(X, g, h, lam=0.0, cols=None, alpha=0.0):
     return build_tree(
-        X, g, h, max_depth=1, reg_lambda=lam, reg_alpha=0.0, gamma=0.0, eta=1.0,
+        X, g, h, max_depth=1, reg_lambda=lam, reg_alpha=alpha, gamma=0.0, eta=1.0,
         cols=None if cols is None else np.asarray(cols),
     )
 
@@ -301,6 +318,31 @@ class TestSplitTieRule:
         gain, f, thr, default_left = oracle
         assert_split_matches_oracle(tree, (gain, cols[f], thr, default_left), margin, X, g, h, lam)
 
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(split_cases(), st.sampled_from([0.25, 1.0]))
+    def test_alpha_matches_oracle(self, case, alpha):
+        X, g, h, cols, lam = case
+        tree = depth1_tree(X, g, h, lam, cols, alpha)
+        oracle, margin = depth1_oracle(X[:, cols], g, h, lam, alpha)
+        if tree.feature[0] < 0:
+            assert oracle is None or oracle[0] <= 0.0
+            return
+        gain, f, thr, default_left = oracle
+        assert_split_matches_oracle(
+            tree, (gain, cols[f], thr, default_left), margin, X, g, h, lam, alpha
+        )
+
+    def test_binary_node_skips_a_child_lighter_than_the_minimum_weight(self):
+        # A confidently wrong first row (h = 0.045) has the largest gain alone,
+        # 10.05 at threshold 0.5, but that child weighs less than MIN_CHILD_WEIGHT.
+        # The best valid candidate, 7.57 at 5.5, is the class boundary.
+        X = np.arange(12.0)[:, None]
+        scores = np.asarray([-3.0] + [0.0] * 11)
+        g, h = loss_grad_hess("binary", scores, np.asarray([1.0] * 6 + [0.0] * 6))
+        assert h[0] < MIN_CHILD_WEIGHT <= h[1:].sum()
+        assert direct_gain(X, g, h, 0, 0.5, True, 0.0) > direct_gain(X, g, h, 0, 5.5, True, 0.0) > 0
+        assert root_split(depth1_tree(X, g, h)) == (0, 5.5, True)
+
 
 def walk_to_leaf(tree, x):
     """The leaf one row reaches: below the threshold goes left, NaN follows default_left."""
@@ -344,8 +386,11 @@ class TestGrowthMatchesApplication:
             assert tree.value[node] == want
 
 
-def reference_split(X, g, h, rows, cols, reg_lambda, gamma):
+def reference_split(X, g, h, rows, cols, reg_lambda, reg_alpha, gamma):
     """The split search of a node on its own stable argsort, one gain call per direction.
+
+    A candidate whose child has a hessian sum below ``MIN_CHILD_WEIGHT`` is
+    masked like a tie between two equal values.
 
     Returns ``(feature, threshold, default_left)`` or None. The threshold is
     the plain midpoint, which is exact for the integer-valued columns drawn here.
@@ -363,14 +408,18 @@ def reference_split(X, g, h, rows, cols, reg_lambda, gamma):
         h_miss[f] = hs[-n_miss[f]:, f].sum()
     g_left = np.cumsum(gs, axis=0)[:-1]
     h_left = np.cumsum(hs, axis=0)[:-1]
+    h_l = np.stack([h_left + h_miss, h_left], axis=1)
+    h_r = np.stack([h_total - h_left - h_miss, h_total - h_left], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains_l = split_gain(
-            g_left + g_miss, h_left + h_miss,
-            g_total - g_left - g_miss, h_total - h_left - h_miss, reg_lambda, gamma,
+            g_left + g_miss, h_l[:, 0],
+            g_total - g_left - g_miss, h_r[:, 0], reg_lambda, gamma, reg_alpha,
         )
-        gains_r = split_gain(g_left, h_left, g_total - g_left, h_total - h_left, reg_lambda, gamma)
-    boundary = xs[:-1] < xs[1:]
-    gains = np.where(boundary[:, None], np.stack([gains_l, gains_r], axis=1), -np.inf)
+        gains_r = split_gain(
+            g_left, h_l[:, 1], g_total - g_left, h_r[:, 1], reg_lambda, gamma, reg_alpha
+        )
+    valid = (xs[:-1] < xs[1:])[:, None] & (h_l >= MIN_CHILD_WEIGHT) & (h_r >= MIN_CHILD_WEIGHT)
+    gains = np.where(valid, np.stack([gains_l, gains_r], axis=1), -np.inf)
     gains = gains.reshape(-1, len(cols))
     best = int(np.argmax(gains.max(axis=0)))
     i = int(np.argmax(gains[:, best]))
@@ -402,7 +451,9 @@ def reference_tree(X, g, h, rows, *, max_depth, reg_lambda, reg_alpha, gamma, et
         level_cols = _sample_cols(cols, colsample_bylevel, rng)
         next_frontier = []
         for node, rows in frontier:
-            split = reference_split(X, g, h, rows, level_cols, reg_lambda, gamma) if len(rows) >= 2 else None
+            split = None
+            if h[rows].sum() >= 2 * MIN_CHILD_WEIGHT:
+                split = reference_split(X, g, h, rows, level_cols, reg_lambda, reg_alpha, gamma)
             if split is None:
                 finish_leaf(node, rows)
                 continue
@@ -449,6 +500,34 @@ class TestGrowthMatchesPerNodeSort:
         want = reference_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
         for name, a, b in zip(Tree._fields, got, want):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestMinChildWeight:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(growth_cases())
+    def test_searched_nodes_and_split_children_are_heavy_enough(self, case):
+        X, g, h, rows, params, seed = case
+        searched = []
+
+        def record(X_, gh, node_rows, *args):
+            searched.append(float(h[node_rows].sum()))
+            return best_split(X_, gh, node_rows, *args)
+
+        best_split = gbt._best_split
+        with mock.patch.object(gbt, "_best_split", record):
+            tree = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        assert all(w >= 2 * MIN_CHILD_WEIGHT for w in searched)
+        weight = np.zeros(len(tree.feature))
+        np.add.at(weight, [walk_to_leaf(tree, X[r]) for r in rows], h[rows])
+        # Children are numbered after their parent, so a reverse scan sums them first.
+        for node in np.flatnonzero(tree.feature >= 0)[::-1]:
+            left = tree.left[node]
+            assert weight[left] >= MIN_CHILD_WEIGHT and weight[left + 1] >= MIN_CHILD_WEIGHT
+            weight[node] = weight[left] + weight[left + 1]
+
+    def test_one_row_heavier_than_two_children_is_a_leaf(self):
+        tree = depth1_tree(np.asarray([[1.0]]), np.asarray([-3.0]), np.asarray([5.0]))
+        assert tree.feature[0] < 0
 
 
 def arrays(ds):

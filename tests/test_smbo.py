@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from autoboost.data import DataError
 from autoboost.smbo import (
     SPACE,
     TuneError,
@@ -259,6 +260,44 @@ class TestProposeAndTune:
     def test_all_nonfinite_initial_design_errors(self):
         with pytest.raises(TuneError, match="non-finite"):
             tune(lambda u: math.nan, budget=8, n_init=4, seed=1)
+
+    @pytest.mark.parametrize("failing_call", [3, 7])  # in the design, then in the GP loop
+    def test_an_objective_that_raises_is_penalized_and_tuning_goes_on(self, failing_call):
+        returned = []
+
+        def obj(u):
+            if len(returned) + 1 == failing_call:
+                returned.append(None)
+                raise FloatingPointError("overflow encountered in exp")
+            returned.append(sphere(u))
+            return returned[-1]
+
+        with pytest.warns(UserWarning, match=f"evaluation {failing_call} failed.*FloatingPointError"):
+            state = tune(obj, budget=10, n_init=4, seed=1)
+        assert len(state.evaluated) == 10
+        # The design's penalty is taken after the design; a later one from the calls before it.
+        before = [v for v in returned[:max(failing_call - 1, 4)] if v is not None]
+        worst, best = max(before), min(before)
+        assert state.evaluated[failing_call - 1].value == worst + (worst - best)
+
+    def test_data_error_from_the_objective_propagates(self):
+        def obj(u):
+            raise DataError("validation split has zero rows")
+
+        with pytest.raises(DataError, match="zero rows"):
+            tune(obj, budget=8, n_init=4, seed=1)
+
+    def test_an_objective_that_always_raises_chains_its_first_error(self):
+        calls = []
+
+        def obj(u):
+            calls.append(ValueError(f"call {len(calls) + 1}"))
+            raise calls[-1]
+
+        with pytest.warns(UserWarning), pytest.raises(TuneError, match="non-finite") as info:
+            tune(obj, budget=8, n_init=4, seed=1)
+        assert len(calls) == 4
+        assert info.value.__cause__ is calls[0]
 
     def test_run_is_deterministic(self):
         a = tune(sphere, budget=22, n_init=8, seed=7)
