@@ -26,6 +26,9 @@ default 1), and a node whose hessian sum is below ``2 * MIN_CHILD_WEIGHT``
 is a leaf without a search. The gain soft-thresholds the gradient sums by
 ``reg_alpha``, as the leaf weight does. For binary log loss h = p(1-p) <=
 0.25, so a child holds at least 4 rows; for squared error h = 1 per row.
+The weight is in XGBoost's hessian units, and XGBoost's softmax hessian is
+2 p(1-p), twice this booster's p(1-p), so a multiclass tree compares its
+hessian sums with ``MIN_CHILD_WEIGHT / 2``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .metrics import logloss, mmce, rmse
 _NEG_INF = -np.inf
 # XGBoost's min_child_weight at its default. A constant, not a tuned
 # parameter: the paper's search space has eight, and this is not among them.
+# It is in XGBoost's hessian units; ``train`` halves it for multiclass.
 MIN_CHILD_WEIGHT = 1.0
 
 
@@ -156,7 +160,7 @@ def loss_grad_hess(task: str, scores: np.ndarray, y: np.ndarray):
     raise ValueError(f"unknown task {task!r}")
 
 
-def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, gamma: float, reg_alpha: float = 0.0):
+def split_gain(g_left, h_left, g_right, h_right, reg_lambda: float, reg_alpha: float, gamma: float):
     """Regularized gain of splitting a node into (left, right) halves.
 
     (1/2) [T(GL)^2/(HL+lambda) + T(GR)^2/(HR+lambda) - T(GL+GR)^2/(HL+HR+lambda)] - gamma,
@@ -214,7 +218,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma):
+def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma, min_child_weight):
     """Exact greedy search over (feature, threshold, default direction).
 
     ``gh`` stacks the gradients and hessians, indexed like the rows of ``X``.
@@ -222,9 +226,10 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma):
     block: one row per feature in ``cols``, holding the node's row ids in
     ascending order of that feature's value, NaNs last, ties by row id. A
     candidate lies between two distinct adjacent present values, each of its
-    children has a hessian sum of at least ``MIN_CHILD_WEIGHT`` (the missing
+    children has a hessian sum of at least ``min_child_weight`` (the missing
     rows counted on their default side), and its sums are cumulative sums of
-    ``gh`` gathered in that order.
+    ``gh`` gathered in that order. A node whose hessian sum is below
+    ``2 * min_child_weight`` has no such candidate and is not searched.
 
     The result equals a scan feature-ascending, threshold-ascending, missing
     default left before right, where only a strictly larger gain replaces the
@@ -237,7 +242,10 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma):
     Returns ``(gain, feature, threshold, default_left)``, or None when no
     valid candidate has a positive gain.
     """
-    totals = np.array([gh[0, rows].sum(), gh[1, rows].sum()])[:, None, None, None]
+    totals = np.array([gh[0, rows].sum(), gh[1, rows].sum()])
+    if totals[1] < 2 * min_child_weight:
+        return None
+    totals = totals[:, None, None, None]
     xs = X[srt, cols[:, None]]
     ghs = gh[:, srt]
     # Axes (g or h, default direction, column, position): the missing rows go
@@ -251,10 +259,10 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma):
     cum = np.cumsum(ghs, axis=2)[:, None, :, :-1]
     sums_l, sums_r = cum + miss, (totals - cum) - miss
     # NaN compares false, so no boundary reaches into the missing rows.
-    valid = (xs[:, :-1] < xs[:, 1:]) & (sums_l[1] >= MIN_CHILD_WEIGHT) & (sums_r[1] >= MIN_CHILD_WEIGHT)
+    valid = (xs[:, :-1] < xs[:, 1:]) & (sums_l[1] >= min_child_weight) & (sums_r[1] >= min_child_weight)
     if not valid.any():
         return None
-    gains = np.where(valid, split_gain(*sums_l, *sums_r, reg_lambda, gamma, reg_alpha), _NEG_INF)
+    gains = np.where(valid, split_gain(*sums_l, *sums_r, reg_lambda, reg_alpha, gamma), _NEG_INF)
     best = int(gains.max(axis=(0, 2)).argmax())  # the first column among equal gains
     # The column's first maximum, position first and then left before right,
     # is the scan's pick for that column.
@@ -308,6 +316,7 @@ def build_tree(
     cols: np.ndarray | None = None,
     colsample_bylevel: float = 1.0,
     rng=None,
+    min_child_weight: float = MIN_CHILD_WEIGHT,
 ) -> Tree:
     """Grow a single regression tree on gradients/hessians.
 
@@ -315,8 +324,9 @@ def build_tree(
     the row indices ``rows``, all rows by default. Growth is depth-wise; every
     level draws its own column subset (shared by all nodes of that level). A
     branch stops at ``max_depth``, at a node whose hessian sum is below
-    ``2 * MIN_CHILD_WEIGHT``, or when no valid candidate has gain > 0. Leaf
-    weights carry the learning rate already.
+    ``2 * min_child_weight``, or when no candidate whose children both weigh
+    at least ``min_child_weight`` has gain > 0. Leaf weights carry the
+    learning rate already.
 
     The columns are sorted once per tree, at the root, and each split
     partitions its node's sorted block into the children's (see the module
@@ -358,9 +368,9 @@ def build_tree(
             next_frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = []
             for node, rows, srt in frontier:
                 block = srt if level is None else srt[level]
-                split = None
-                if h[rows].sum() >= 2 * MIN_CHILD_WEIGHT:
-                    split = _best_split(X, gh, rows, block, level_cols, reg_lambda, reg_alpha, gamma)
+                split = _best_split(
+                    X, gh, rows, block, level_cols, reg_lambda, reg_alpha, gamma, min_child_weight
+                )
                 if split is None:
                     finish_leaf(node, rows)
                     continue
@@ -474,6 +484,9 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     all_cols = np.arange(d)
+    # XGBoost's softmax hessian is 2 p(1-p), twice loss_grad_hess's p(1-p);
+    # binary log loss and squared error have XGBoost's hessians.
+    min_child_weight = MIN_CHILD_WEIGHT / 2 if task == "multiclass" else MIN_CHILD_WEIGHT
     rounds: list[tuple[Tree, ...]] = []
     history: list[float] = []
     best_value = np.inf
@@ -494,6 +507,7 @@ def train(
                 max_depth=cfg.max_depth, reg_lambda=cfg.reg_lambda,
                 reg_alpha=cfg.reg_alpha, gamma=cfg.gamma, eta=cfg.eta,
                 cols=tree_cols, colsample_bylevel=cfg.colsample_bylevel, rng=rng,
+                min_child_weight=min_child_weight,
             )
             group.append(tree)
             scores[:, c] += _tree_outputs(tree, X)

@@ -358,9 +358,10 @@ def tune(
     the range of the finite values the objective has returned so far
     (earlier penalties never enter it), and the loop continues; failures in
     the initial design share the penalty computed after the design. An
-    exception from the objective, other than ``DataError``, which no other
-    configuration can fix, counts as a non-finite value and is reported as
-    a warning. If the design yields no finite value at all the run raises
+    exception from the objective counts as a non-finite value and is
+    reported as a warning, except a ``DataError``, which no other
+    configuration can fix, and a warning that the warning filter raised as
+    an error; those two propagate. If the design yields no finite value at all the run raises
     ``TuneError``, chained from the design's first exception. The wall-clock
     deadline is checked before every evaluation except the very first, so
     at least one configuration is always evaluated.
@@ -413,7 +414,9 @@ def _evaluate(
     error = None
     try:
         value = float(objective(point))
-    except DataError:
+    except (DataError, Warning):
+        # A warning here is one the warning filter turned into an error, as
+        # ``-W error::RuntimeWarning`` does for a NumPy overflow: it must stop the run.
         raise
     except Exception as exc:
         warnings.warn(f"evaluation {len(state.evaluated) + 1} failed and counts as non-finite: {exc!r}")

@@ -110,19 +110,19 @@ class TestLossGradHess:
 
 class TestSplitGainLeafWeight:
     def test_gain_formula(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0) == 4.0
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0) == 4.0
 
     def test_gamma_shifts_gain_negative(self):
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 5.0) == -1.0
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, reg_lambda=0.0, reg_alpha=0.0, gamma=5.0) == -1.0
 
     def test_symmetric_split_has_zero_gain(self):
-        assert split_gain(1.0, 1.0, 1.0, 1.0, 0.0, 0.0) == 0.0
+        assert split_gain(1.0, 1.0, 1.0, 1.0, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0) == 0.0
 
     def test_alpha_soft_thresholds_each_gradient_sum(self):
         # T(-2) = -1, T(2) = 1 and T(0) = 0: (1/2)(1/1 + 1/1 - 0/2) = 1.
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0, reg_alpha=1.0) == 1.0
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, reg_lambda=0.0, reg_alpha=1.0, gamma=0.0) == 1.0
         # alpha = 2 zeroes every sum, so the split gains nothing.
-        assert split_gain(-2.0, 1.0, 2.0, 1.0, 0.0, 0.0, reg_alpha=2.0) == 0.0
+        assert split_gain(-2.0, 1.0, 2.0, 1.0, reg_lambda=0.0, reg_alpha=2.0, gamma=0.0) == 0.0
 
     def test_leaf_weight_formula(self):
         assert leaf_weight(-4.0, 1.0, 1.0, 0.0) == 2.0
@@ -186,7 +186,7 @@ def direct_gain(X, g, h, feature, thr, default_left, lam, alpha=0.0):
     miss = np.isnan(x)
     left = (x < thr) | (miss & default_left)
     return float(
-        split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), lam, 0.0, alpha)
+        split_gain(g[left].sum(), h[left].sum(), g[~left].sum(), h[~left].sum(), lam, alpha, 0.0)
     )
 
 
@@ -413,10 +413,10 @@ def reference_split(X, g, h, rows, cols, reg_lambda, reg_alpha, gamma):
     with np.errstate(divide="ignore", invalid="ignore"):
         gains_l = split_gain(
             g_left + g_miss, h_l[:, 0],
-            g_total - g_left - g_miss, h_r[:, 0], reg_lambda, gamma, reg_alpha,
+            g_total - g_left - g_miss, h_r[:, 0], reg_lambda, reg_alpha, gamma,
         )
         gains_r = split_gain(
-            g_left, h_l[:, 1], g_total - g_left, h_r[:, 1], reg_lambda, gamma, reg_alpha
+            g_left, h_l[:, 1], g_total - g_left, h_r[:, 1], reg_lambda, reg_alpha, gamma
         )
     valid = (xs[:-1] < xs[1:])[:, None] & (h_l >= MIN_CHILD_WEIGHT) & (h_r >= MIN_CHILD_WEIGHT)
     gains = np.where(valid, np.stack([gains_l, gains_r], axis=1), -np.inf)
@@ -505,29 +505,54 @@ class TestGrowthMatchesPerNodeSort:
 class TestMinChildWeight:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(growth_cases())
-    def test_searched_nodes_and_split_children_are_heavy_enough(self, case):
+    def test_split_children_are_heavy_enough(self, case):
         X, g, h, rows, params, seed = case
-        searched = []
+        tree = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        assert_children_weigh_at_least(tree, X, h, rows, MIN_CHILD_WEIGHT)
 
-        def record(X_, gh, node_rows, *args):
-            searched.append(float(h[node_rows].sum()))
-            return best_split(X_, gh, node_rows, *args)
-
-        best_split = gbt._best_split
-        with mock.patch.object(gbt, "_best_split", record):
-            tree = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
-        assert all(w >= 2 * MIN_CHILD_WEIGHT for w in searched)
-        weight = np.zeros(len(tree.feature))
-        np.add.at(weight, [walk_to_leaf(tree, X[r]) for r in rows], h[rows])
-        # Children are numbered after their parent, so a reverse scan sums them first.
-        for node in np.flatnonzero(tree.feature >= 0)[::-1]:
-            left = tree.left[node]
-            assert weight[left] >= MIN_CHILD_WEIGHT and weight[left + 1] >= MIN_CHILD_WEIGHT
-            weight[node] = weight[left] + weight[left + 1]
+    def test_a_node_lighter_than_two_children_is_not_searched(self):
+        # h sums to 1.8 < 2 * MIN_CHILD_WEIGHT, so the search returns before
+        # it reads X, the sorted block or the columns.
+        gh = np.asarray([[-3.0, 3.0], [0.9, 0.9]])
+        assert gbt._best_split(None, gh, np.arange(2), None, None, 0.0, 0.0, 0.0, MIN_CHILD_WEIGHT) is None
 
     def test_one_row_heavier_than_two_children_is_a_leaf(self):
         tree = depth1_tree(np.asarray([[1.0]]), np.asarray([-3.0]), np.asarray([5.0]))
         assert tree.feature[0] < 0
+
+    def test_multiclass_children_meet_the_weight_on_xgboost_softmax_hessians(self):
+        # XGBoost's softmax hessian is 2 p(1-p), twice loss_grad_hess's, so a
+        # multiclass child needs a sum of MIN_CHILD_WEIGHT / 2 in this booster's units.
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(150, 3))
+        y = np.digitize(X[:, 0] + rng.normal(size=150), [-0.5, 0.5])
+        cfg = GBTConfig(eta=0.3, max_depth=6, reg_lambda=0.0, max_rounds=5, patience=5)
+        model = train(X, y, X, y, "multiclass", 3, cfg, "logloss")
+        scores = np.tile(model.base_score, (len(X), 1))
+        lightest = np.inf
+        for group in model.rounds:
+            _, h = loss_grad_hess("multiclass", scores, y)
+            for c, tree in enumerate(group):
+                lightest = min(lightest, assert_children_weigh_at_least(
+                    tree, X, 2 * h[:, c], np.arange(len(X)), MIN_CHILD_WEIGHT
+                ))
+                scores[:, c] += _tree_outputs(tree, X)
+        # A child that the booster's own hessians would have held to MIN_CHILD_WEIGHT.
+        assert lightest < 2 * MIN_CHILD_WEIGHT
+
+
+def assert_children_weigh_at_least(tree, X, h, rows, min_weight):
+    """Every split's children have hessian sums of at least ``min_weight``; returns the least."""
+    weight = np.zeros(len(tree.feature))
+    np.add.at(weight, [walk_to_leaf(tree, X[r]) for r in rows], h[rows])
+    lightest = np.inf
+    # Children are numbered after their parent, so a reverse scan sums them first.
+    for node in np.flatnonzero(tree.feature >= 0)[::-1]:
+        left = tree.left[node]
+        assert weight[left] >= min_weight and weight[left + 1] >= min_weight
+        weight[node] = weight[left] + weight[left + 1]
+        lightest = min(lightest, weight[left], weight[left + 1])
+    return lightest
 
 
 def arrays(ds):

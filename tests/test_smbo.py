@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,16 @@ class TestProposeAndTune:
 
         with pytest.raises(DataError, match="zero rows"):
             tune(obj, budget=8, n_init=4, seed=1)
+
+    def test_a_warning_raised_as_an_error_propagates(self):
+        def obj(u):
+            warnings.warn("overflow encountered in exp", RuntimeWarning)
+            return sphere(u)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                tune(obj, budget=8, n_init=4, seed=1)
 
     def test_an_objective_that_always_raises_chains_its_first_error(self):
         calls = []
