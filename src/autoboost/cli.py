@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_NA_TOKENS, DataError, Dataset, load_csv, majority_baseline, open_text
+from .data import _BLOCK_ROWS, DEFAULT_NA_TOKENS, DataError, Dataset, load_csv, majority_baseline, open_text
 from .metrics import MEASURES, logloss, mmce, resolve_measure, rmse
 from .pipeline import AutoConfig, BundleError, autogbt_fit, autogbt_predict, load, save
 from .smbo import TuneError, history_csv
@@ -278,16 +278,20 @@ def _cmd_predict(args) -> int:
     preds = autogbt_predict(model, data)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        # csv writes each float as its repr, the shortest exact decimal.
+        # csv writes each float as its repr, the shortest exact decimal. The
+        # rows go out a block at a time, so no list of every row's floats is built.
         if preds.task == "regression":
             writer.writerow(["prediction"])
-            writer.writerows([v] for v in preds.values.tolist())
+            for start in range(0, data.n_rows, _BLOCK_ROWS):
+                writer.writerows([v] for v in preds.values[start:start + _BLOCK_ROWS].tolist())
         else:
             writer.writerow(["prediction"] + [f"prob_{c}" for c in preds.classes])
-            writer.writerows(
-                [label, *row]
-                for label, row in zip(preds.labels, preds.probabilities.tolist())
-            )
+            for start in range(0, data.n_rows, _BLOCK_ROWS):
+                stop = start + _BLOCK_ROWS
+                writer.writerows(
+                    [label, *row]
+                    for label, row in zip(preds.labels[start:stop], preds.probabilities[start:stop].tolist())
+                )
     print(f"wrote {data.n_rows} predictions to {args.out}")
     return EXIT_OK
 

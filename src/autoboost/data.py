@@ -13,7 +13,7 @@ import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,9 @@ KINDS = ("numeric", "categorical")
 
 NA_LEVEL = "__NA__"
 DEFAULT_NA_TOKENS = ("", "NA", "?")
+
+# Rows that load_csv reads, and the predict command writes, at a time.
+_BLOCK_ROWS = 4096
 
 
 class DataError(ValueError):
@@ -209,11 +212,21 @@ def load_csv(
     target column and its task come from ``_build_target_column``.
     ``target=None`` loads a feature-only dataset for prediction, which may
     hold a single row; a file with a target needs two.
+
+    The file is read ``_BLOCK_ROWS`` rows at a time. In each block, a feature
+    named in ``kinds`` becomes float64 values or shared level strings, and the
+    block's cells are dropped, so those columns never hold the file's text.
+    The target and the other columns keep their cells until the last block.
+    A file with several faults reports the first one found in this order:
+    the header; then block by block, a ragged row before text in a numeric
+    feature named in ``kinds``; then the number of rows; then the target and
+    the other columns, in header order. Rows are numbered in the whole file.
     """
     path = Path(path)
     if task_hint is not None and task_hint not in TASKS:
         raise DataError(f"unknown task hint: {task_hint!r}")
-    for name, kind in (kinds or {}).items():
+    kinds = kinds or {}
+    for name, kind in kinds.items():
         if kind not in KINDS:
             raise DataError(f"column {name!r} has unknown kind {kind!r}, expected one of {KINDS}")
     na_set = set(na_tokens)
@@ -221,34 +234,57 @@ def load_csv(
     with open_text(path, "file") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        # One row-major list of all fields, so no row list outlives its line.
-        fields, widths = [], []
-        for row in reader:
-            fields += row
-            widths.append(len(row))
-    if header is None:
-        raise DataError(f"{path}: empty file, header row required")
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        if target is not None and target not in header:
+            raise DataError(f"{path}: target column {target!r} not in header")
+        width = len(header)
+        typed = {j: kinds[name] for j, name in enumerate(header) if name != target and name in kinds}
+        # Per typed column: float64 blocks (numeric), or one list of level
+        # strings with one str per distinct level (categorical). Per other
+        # column: its cells.
+        parts = {j: [] for j in range(width)}
+        levels = {j: dict.fromkeys(na_set, NA_LEVEL) for j, kind in typed.items() if kind == "categorical"}
+        n_rows = 0
+        while True:
+            # One row-major list of the block's fields, so no row list outlives its line.
+            fields, widths = [], []
+            for row in islice(reader, _BLOCK_ROWS):
+                fields += row
+                widths.append(len(row))
+            if not widths:
+                break
+            if set(widths) != {width}:
+                i, w = next((i, w) for i, w in enumerate(widths) if w != width)
+                raise DataError(f"{path}: row {n_rows + i + 2} has {w} fields, expected {width}")
+            for j, part in parts.items():
+                cells = fields[j::width]
+                if j in levels:
+                    part += map(levels[j].setdefault, cells, cells)
+                elif j in typed:
+                    part.append(_build_feature_column(header[j], cells, na_set, "numeric", n_rows).values)
+                else:
+                    part += cells
+            n_rows += len(widths)
 
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    if target is not None and target not in header:
-        raise DataError(f"{path}: target column {target!r} not in header")
-    if target is not None and len(widths) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(widths)}")
-    if not widths:
+    if target is not None and n_rows < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {n_rows}")
+    if not n_rows:
         raise DataError(f"{path}: need at least 1 data row, found 0")
-    if set(widths) != {len(header)}:
-        i, width = next((i, w) for i, w in enumerate(widths) if w != len(header))
-        raise DataError(f"{path}: row {i + 2} has {width} fields, expected {len(header)}")
 
     columns = []
     task = None
     for j, name in enumerate(header):
-        cells = fields[j::len(header)]
-        if name == target:
-            column, task = _build_target_column(name, cells, na_set, task_hint)
+        if j in levels:
+            column = Column(name, "categorical", parts.pop(j))
+        elif j in typed:
+            column = Column(name, "numeric", np.concatenate(parts.pop(j)))
+        elif name == target:
+            column, task = _build_target_column(name, parts.pop(j), na_set, task_hint)
         else:
-            column = _build_feature_column(name, cells, na_set, (kinds or {}).get(name))
+            column = _build_feature_column(name, parts.pop(j), na_set, None)
         columns.append(column)
 
     return Dataset(tuple(columns), target, task)
@@ -270,14 +306,17 @@ def _numeric_values(cells: list[str], na_set: set[str]) -> np.ndarray | None:
 
 
 def _build_feature_column(
-    name: str, cells: list[str], na_set: set[str], kind: str | None
+    name: str, cells: list[str], na_set: set[str], kind: str | None, first_row: int = 0
 ) -> Column:
-    values = None if kind == "categorical" else _numeric_values(cells, na_set)
+    """A feature column from its cells: numeric, or with ``kind=None`` numeric
+    or categorical as the cells allow. ``first_row`` is the first cell's index
+    among the file's data rows, for the error message."""
+    values = _numeric_values(cells, na_set)
     if values is not None:
         return Column(name, "numeric", values)
     if kind == "numeric":
         row = next(i for i, c in enumerate(cells) if _numeric_values([c], na_set) is None)
-        raise DataError(f"feature {name!r} is numeric, row {row + 2} holds {cells[row]!r}")
+        raise DataError(f"feature {name!r} is numeric, row {first_row + row + 2} holds {cells[row]!r}")
     as_level = dict.fromkeys(na_set, NA_LEVEL)
     return Column(name, "categorical", list(map(as_level.get, cells, cells)))
 

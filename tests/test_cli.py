@@ -5,11 +5,14 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import autoboost
+import autoboost.cli
+import autoboost.data
 from autoboost.cli import (
     BenchmarkTask,
     bootstrap_aggregate,
@@ -357,6 +360,29 @@ class TestCliCommands:
                      "--out", str(tmp_path / "none.csv")])
         assert code == 2
         assert "need at least 1 data row, found 0" in capsys.readouterr().err
+
+    def test_predictions_file_does_not_depend_on_the_block_size(
+        self, numeric_level_bundle, tmp_path
+    ):
+        features = Dataset(binary_margin_dataset(30, seed=9, missing=0.2).feature_columns, None, None)
+        binary_data = dataset_to_csv(features, tmp_path / "binary.csv")
+        train = dataset_to_csv(linear_regression_dataset(120, seed=3), tmp_path / "train.csv")
+        regression_bundle = tmp_path / "regression.bundle"
+        assert main(["fit", "--data", str(train), "--target", "y", "--budget", "4",
+                     "--max-rounds", "20", "--out", str(regression_bundle)]) == 0
+        features = Dataset(linear_regression_dataset(25, seed=4).feature_columns, None, None)
+        regression_data = dataset_to_csv(features, tmp_path / "regression.csv")
+        for bundle, data in ((numeric_level_bundle, binary_data), (regression_bundle, regression_data)):
+            written = set()
+            for block_rows in (1, 7, autoboost.data._BLOCK_ROWS):
+                out = tmp_path / f"preds-{block_rows}.csv"
+                with mock.patch.object(autoboost.data, "_BLOCK_ROWS", block_rows), \
+                        mock.patch.object(autoboost.cli, "_BLOCK_ROWS", block_rows):
+                    code = main(["predict", "--model", str(bundle), "--data", str(data),
+                                 "--out", str(out)])
+                assert code == 0
+                written.add(out.read_bytes())
+            assert len(written) == 1
 
     def test_target_only_fit_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"

@@ -1,13 +1,17 @@
 """Dataset container, CSV loading, splitting, and the majority baseline."""
 
+import csv
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autoboost.data
 from autoboost.data import (
     Column,
     DataError,
@@ -190,6 +194,59 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "d.csv", "a,a,y\n1,2,0\n3,4,1\n")
         with pytest.raises(DataError, match="duplicate column names in header"):
             load_csv(p, target="y")
+
+
+class TestBlockReading:
+    """load_csv reads ``_BLOCK_ROWS`` rows at a time; rows are numbered in the whole file."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(autoboost.data, "_BLOCK_ROWS", 2)
+
+    def test_ragged_row_in_a_later_block_names_its_row_in_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "x,c\n1,a\n2,b\n3,a\n4,b\n5,a\n6\n")
+        with pytest.raises(DataError, match="row 7 has 1 fields, expected 2"):
+            load_csv(p, target=None, kinds={"x": "numeric", "c": "categorical"})
+
+    def test_text_in_a_later_block_names_its_row_in_the_file(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "x,c\n1,a\n2,b\n3,a\n4,b\nabc,a\n6,b\n")
+        with pytest.raises(DataError, match="feature 'x' is numeric, row 6 holds 'abc'"):
+            load_csv(p, target=None, kinds={"x": "numeric", "c": "categorical"})
+
+    def test_ragged_row_is_reported_before_text_in_its_block(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "x,c\n1,a\n2,b\n3,a\n4,b\nabc,a\n6\n")
+        with pytest.raises(DataError, match="row 7 has 1 fields, expected 2"):
+            load_csv(p, target=None, kinds={"x": "numeric", "c": "categorical"})
+
+    def test_text_in_an_earlier_block_is_reported_before_a_ragged_row(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "x,c\nabc,a\n2,b\n3,a\n4,b\n5,a\n6\n")
+        with pytest.raises(DataError, match="feature 'x' is numeric, row 2 holds 'abc'"):
+            load_csv(p, target=None, kinds={"x": "numeric", "c": "categorical"})
+
+
+def test_typed_load_holds_a_block_of_text_not_the_whole_file(tmp_path):
+    # A scoring-like file: 10 numeric columns with 5% missing, 2 categorical ones.
+    rng = np.random.default_rng(0)
+    n = 20_000
+    x = rng.normal(size=(n, 10))
+    missing = rng.uniform(size=x.shape) < 0.05
+    codes = rng.integers(0, 40, size=(n, 2))
+    names = [f"x{j}" for j in range(10)] + ["c5", "c40"]
+    lines = [",".join(names)]
+    for i in range(n):
+        cells = ["" if missing[i, j] else f"{x[i, j]:.6f}" for j in range(10)]
+        lines.append(",".join(cells + [f"c5_{codes[i, 0] % 5}", f"c40_{codes[i, 1]}"]))
+    p = write_csv(tmp_path / "score.csv", "\n".join(lines) + "\n")
+    kinds = {name: "numeric" for name in names[:10]} | {"c5": "categorical", "c40": "categorical"}
+    tracemalloc.start()
+    try:
+        ds = load_csv(p, target=None, kinds=kinds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == n
+    # The typed columns take 104 bytes a row; a whole file's text took about 900.
+    assert peak / n < 450
 
 
 def reference_numeric_values(cells, na_set):
@@ -408,3 +465,68 @@ class TestMajorityBaseline:
             predicted = labels[np.argmax(counts)]
             freq = np.mean(valid.target_values().astype(str) == predicted)
             assert majority_baseline(train, valid) == pytest.approx(1.0 - freq, abs=1e-12)
+
+
+NA_TOKENS = ["", "NA", "?", "-999"]
+NUMBERS = ["1", "-2.5", "1e3", " 7 ", "-999", "0"]
+LEVELS = ["", "NA", "?", "-999", "a", "zz", "1", "2.5", "nan", "__NA__"]
+# Cells that are not numbers, unless they are NA tokens.
+FAULTS = ["abc", "nan", "inf", "", "NA", "?"]
+
+
+@st.composite
+def block_tables(draw):
+    """Rows of (x, n, c, u) and the NA tokens. x and n hold numbers and NA
+    tokens, with at most two faults; c holds levels, NA tokens and
+    numeric-looking levels; u holds either kind of cell."""
+    na_tokens = draw(st.sets(st.sampled_from(NA_TOKENS)))
+    number = st.sampled_from(NUMBERS + sorted(na_tokens))
+    level = st.sampled_from(LEVELS)
+    inferred = draw(st.sampled_from([number, level]))
+    rows = draw(st.lists(st.tuples(number, number, level, inferred), min_size=1, max_size=30))
+    rows = [list(row) for row in rows]
+    for i, j, cell in draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 1), st.sampled_from(FAULTS)),
+        max_size=2,
+    )):
+        rows[i][j] = cell
+    return rows, na_tokens
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(block_tables())
+def test_typed_columns_do_not_depend_on_the_block_size(tmp_path_factory, table):
+    rows, na_tokens = table
+    # x and c have fit-time kinds; u is inferred and keeps its cells until the end.
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("x", "n", "c", "u"), *rows])
+    kinds = {"x": "numeric", "n": "numeric", "c": "categorical"}
+    na_set = set(na_tokens)
+    x, n, c, u = (list(cells) for cells in zip(*rows))
+    bad = {name: [reference_numeric_values([v], na_set) is None for v in cells]
+           for name, cells in (("x", x), ("n", n))}
+    first_bad = next((i for i in range(len(rows)) if bad["x"][i] or bad["n"][i]), None)
+    for block_rows in (1, 2, 7, len(rows) + 1):
+        with mock.patch.object(autoboost.data, "_BLOCK_ROWS", block_rows):
+            if first_bad is not None:
+                # The first block with a fault reports its first column's first fault.
+                start = first_bad - first_bad % block_rows
+                block = range(start, min(start + block_rows, len(rows)))
+                name = "x" if any(bad["x"][i] for i in block) else "n"
+                i = next(i for i in block if bad[name][i])
+                with pytest.raises(DataError, match=f"feature '{name}' is numeric, row {i + 2} "):
+                    load_csv(path, target=None, na_tokens=tuple(na_tokens), kinds=kinds)
+                continue
+            ds = load_csv(path, target=None, na_tokens=tuple(na_tokens), kinds=kinds)
+        assert [col.name for col in ds.columns] == ["x", "n", "c", "u"]
+        assert [col.kind for col in ds.columns[:3]] == ["numeric", "numeric", "categorical"]
+        for col, cells in ((ds.columns[0], x), (ds.columns[1], n)):
+            assert np.array_equal(col.values, reference_numeric_values(cells, na_set), equal_nan=True)
+        assert ds.columns[2].values.tolist() == ["__NA__" if v in na_set else v for v in c]
+        inferred = autoboost.data._build_feature_column("u", u, na_set, None)
+        assert ds.columns[3].kind == inferred.kind
+        if inferred.kind == "numeric":
+            assert np.array_equal(ds.columns[3].values, inferred.values, equal_nan=True)
+        else:
+            assert ds.columns[3].values.tolist() == inferred.values.tolist()
