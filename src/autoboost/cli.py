@@ -333,6 +333,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # An output that cannot be written fails before any data is read.
+        for dest in ("out", "history"):
+            path = getattr(args, dest, None)
+            if path and not Path(path).parent.is_dir():
+                raise DataError(f"--{dest} {path}: no directory {Path(path).parent}")
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "predict":

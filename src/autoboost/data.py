@@ -369,8 +369,10 @@ def split_holdout(
     Stratified splits allocate per-class validation counts by largest
     remainder, which keeps class proportions within one row of exact, and
     leave at least one row of every class in training: a class already at
-    its cap passes its extra row to the next class in remainder order. The
-    split is a pure function of (d, valid_fraction, seed, stratify).
+    its cap passes its extra row to the next class in remainder order. A
+    holdout of no rows, or of every row, is a DataError that names
+    ``valid_fraction`` and the row counts. The split is a pure function of
+    (d, valid_fraction, seed, stratify).
     """
     if not (0.0 < valid_fraction < 1.0):
         raise DataError(f"valid_fraction must be in (0,1), got {valid_fraction}")
@@ -378,6 +380,11 @@ def split_holdout(
     if n < 5:
         raise DataError(f"need at least 5 rows to split, got {n}")
     n_valid = int(math.floor(valid_fraction * n + 0.5))
+    if not 0 < n_valid < n:
+        raise DataError(
+            f"valid_fraction {valid_fraction} of {n} rows gives {n_valid} holdout rows and "
+            f"{n - n_valid} training rows; each side needs at least one"
+        )
     rng = np.random.default_rng(seed)
 
     if stratify:
@@ -409,7 +416,7 @@ def split_holdout(
             for i, a in enumerate(alloc)
             if a > 0
         ]
-        valid_rows = np.sort(np.concatenate(valid_idx)) if valid_idx else np.empty(0, np.intp)
+        valid_rows = np.sort(np.concatenate(valid_idx))
     else:
         valid_rows = np.sort(rng.choice(n, size=n_valid, replace=False))
 

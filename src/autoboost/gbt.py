@@ -52,8 +52,13 @@ MIN_CHILD_WEIGHT = 1.0
 class GBTConfig:
     """Training controls: the eight tuned hyperparameters plus fixed limits.
 
-    ``gamma``, ``reg_lambda`` and ``reg_alpha`` are the post-transform values
-    (the tuner works on a log2 scale and decodes before building configs).
+    The booster reads this one record: ``train`` hands it to ``build_tree``,
+    which hands it to ``_best_split``. ``gamma``, ``reg_lambda`` and
+    ``reg_alpha`` are the post-transform values (the tuner works on a log2
+    scale and decodes before building configs). Nothing is checked here:
+    ``smbo.decode_config`` keeps the tuned values inside ``smbo.SPACE``, and
+    ``pipeline.autogbt_fit`` checks ``max_rounds`` and ``patience`` before it
+    splits.
     """
 
     eta: float = 0.1
@@ -67,22 +72,6 @@ class GBTConfig:
     max_rounds: int = 1000
     patience: int = 10
     seed: int = 1
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.gamma < 0 or self.reg_lambda < 0 or self.reg_alpha < 0:
-            raise ValueError("gamma, reg_lambda and reg_alpha must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        for name in ("colsample_bytree", "colsample_bylevel", "subsample"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must be in (0,1], got {v}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 class Tree(NamedTuple):
@@ -218,9 +207,10 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma, min_child_weight):
+def _best_split(X, gh, rows, srt, cols, cfg, min_child_weight):
     """Exact greedy search over (feature, threshold, default direction).
 
+    The gain reads ``reg_lambda``, ``reg_alpha`` and ``gamma`` from ``cfg``.
     ``gh`` stacks the gradients and hessians, indexed like the rows of ``X``.
     ``rows`` are the node's row ids, ascending, and ``srt`` is its sorted
     block: one row per feature in ``cols``, holding the node's row ids in
@@ -262,7 +252,7 @@ def _best_split(X, gh, rows, srt, cols, reg_lambda, reg_alpha, gamma, min_child_
     valid = (xs[:, :-1] < xs[:, 1:]) & (sums_l[1] >= min_child_weight) & (sums_r[1] >= min_child_weight)
     if not valid.any():
         return None
-    gains = np.where(valid, split_gain(*sums_l, *sums_r, reg_lambda, reg_alpha, gamma), _NEG_INF)
+    gains = np.where(valid, split_gain(*sums_l, *sums_r, cfg.reg_lambda, cfg.reg_alpha, cfg.gamma), _NEG_INF)
     best = int(gains.max(axis=(0, 2)).argmax())  # the first column among equal gains
     # The column's first maximum, position first and then left before right,
     # is the scan's pick for that column.
@@ -308,20 +298,18 @@ def build_tree(
     h: np.ndarray,
     rows: np.ndarray | None = None,
     *,
-    max_depth: int,
-    reg_lambda: float,
-    reg_alpha: float,
-    gamma: float,
-    eta: float,
+    cfg: GBTConfig,
     cols: np.ndarray | None = None,
-    colsample_bylevel: float = 1.0,
     rng=None,
     min_child_weight: float = MIN_CHILD_WEIGHT,
 ) -> Tree:
     """Grow a single regression tree on gradients/hessians.
 
     ``g`` and ``h`` are indexed like the rows of ``X``, and the tree grows on
-    the row indices ``rows``, all rows by default. Growth is depth-wise; every
+    the row indices ``rows``, all rows by default. The tree reads
+    ``max_depth``, ``eta``, ``reg_lambda``, ``reg_alpha``, ``gamma`` and
+    ``colsample_bylevel`` from ``cfg``, the booster's one record of its
+    settings, whose limits the fit has checked. Growth is depth-wise; every
     level draws its own column subset (shared by all nodes of that level). A
     branch stops at ``max_depth``, at a node whose hessian sum is below
     ``2 * min_child_weight``, or when no candidate whose children both weigh
@@ -346,8 +334,8 @@ def build_tree(
         return len(nodes["feature"]) - 1
 
     def finish_leaf(node: int, rows: np.ndarray) -> None:
-        nodes["value"][node] = eta * leaf_weight(
-            float(g[rows].sum()), float(h[rows].sum()), reg_lambda, reg_alpha
+        nodes["value"][node] = cfg.eta * leaf_weight(
+            float(g[rows].sum()), float(h[rows].sum()), cfg.reg_lambda, cfg.reg_alpha
         )
 
     # A stable sort keeps tied values in row order and puts NaNs last.
@@ -358,19 +346,17 @@ def build_tree(
     side = np.empty(len(X), dtype=bool)  # goes left, for the rows of the split being made
     frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = [(add_node(), rows, srt)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for depth in range(max_depth):
+        for depth in range(cfg.max_depth):
             if not frontier:
                 break
-            level_cols = _sample_cols(cols, colsample_bylevel, rng)
+            level_cols = _sample_cols(cols, cfg.colsample_bylevel, rng)
             # _sample_cols hands back cols itself when it keeps them all.
             level = None if level_cols is cols else position[level_cols]
-            last = depth == max_depth - 1  # its children are leaves and need no block
+            last = depth == cfg.max_depth - 1  # its children are leaves and need no block
             next_frontier: list[tuple[int, np.ndarray, np.ndarray | None]] = []
             for node, rows, srt in frontier:
                 block = srt if level is None else srt[level]
-                split = _best_split(
-                    X, gh, rows, block, level_cols, reg_lambda, reg_alpha, gamma, min_child_weight
-                )
+                split = _best_split(X, gh, rows, block, level_cols, cfg, min_child_weight)
                 if split is None:
                     finish_leaf(node, rows)
                     continue
@@ -503,11 +489,7 @@ def train(
         for c in range(n_out):
             tree_cols = _sample_cols(all_cols, cfg.colsample_bytree, rng)
             tree = build_tree(
-                X, g[:, c], h[:, c], rows,
-                max_depth=cfg.max_depth, reg_lambda=cfg.reg_lambda,
-                reg_alpha=cfg.reg_alpha, gamma=cfg.gamma, eta=cfg.eta,
-                cols=tree_cols, colsample_bylevel=cfg.colsample_bylevel, rng=rng,
-                min_child_weight=min_child_weight,
+                X, g[:, c], h[:, c], rows, cfg=cfg, cols=tree_cols, rng=rng, min_child_weight=min_child_weight
             )
             group.append(tree)
             scores[:, c] += _tree_outputs(tree, X)

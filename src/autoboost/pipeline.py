@@ -104,6 +104,10 @@ def autogbt_fit(d: Dataset, cfg: AutoConfig | None = None) -> PipelineModel:
     check_target(d)
     if not math.isfinite(cfg.deadline):
         raise ValueError(f"deadline must be a finite number of seconds, got {cfg.deadline}")
+    # Checked before the split: inside an evaluation each would only fail it.
+    for name in ("max_rounds", "patience"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     task = d.task
     classification = task in ("binary", "multiclass")
     measure = resolve_measure(cfg.measure, task)

@@ -13,7 +13,7 @@ import pytest
 from autoboost.cli import bootstrap_minima
 from autoboost.data import Column, Dataset, majority_baseline
 from autoboost.encoding import fit_encoders, transform
-from autoboost.gbt import build_tree, loss_grad_hess
+from autoboost.gbt import GBTConfig, build_tree, loss_grad_hess
 from autoboost.metrics import mmce
 from autoboost.pipeline import (
     FORMAT_VERSION,
@@ -104,7 +104,7 @@ def test_criterion_2_depth1_tree_matches_exhaustive_oracle():
             g = rng.normal(size=n)
             h = np.ones(n)
             tree = build_tree(
-                X, g, h, max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0
+                X, g, h, cfg=GBTConfig(max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0)
             )
             oracle, margin = depth1_oracle(X, g, h, 0.0)
             if tree.feature[0] < 0:

@@ -531,6 +531,51 @@ class TestCliCommands:
         assert f"argument {flag}: expected an integer >= 1, got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("fit", "--out"), ("fit", "--history"), ("predict", "--out"), ("benchmark", "--out"),
+    ])
+    def test_missing_output_directory_is_a_data_error_before_any_work(
+        self, command, flag, csv_pair, tmp_path, capsys
+    ):
+        base, train, test = csv_pair
+        spec = tmp_path / "bench.tsv"
+        spec.write_text(
+            "name\ttrain_path\ttest_path\ttarget\tmeasure\n"
+            f"toy\t{train}\t{test}\tlabel\tmmce\n"
+        )
+        required = {
+            "fit": ["--data", str(train), "--target", "label", "--budget", "4", "--max-rounds", "20"],
+            "predict": ["--model", str(tmp_path / "model.bundle"), "--data", str(train)],
+            "benchmark": ["--spec", str(spec), "--reps", "1", "--budget", "4", "--max-rounds", "20"],
+        }[command]
+        outputs = {"--out": tmp_path / "out", "--history": tmp_path / "history.csv"}
+        if command != "fit":
+            del outputs["--history"]
+        missing = tmp_path / "missing"
+        outputs[flag] = missing / "file"
+        argv = [command, *required]
+        for name, path in outputs.items():
+            argv += [name, str(path)]
+        # A read of the data, the bundle or the spec would fail the run with exit 3.
+        read = mock.Mock(side_effect=AssertionError("input read before the outputs were checked"))
+        with mock.patch.object(autoboost.cli, "load_csv", read), \
+                mock.patch.object(autoboost.cli, "load", read), \
+                mock.patch.object(autoboost.cli, "read_benchmark_spec", read):
+            assert main(argv) == 2
+        assert f"error: {flag} {missing / 'file'}: no directory {missing}" in capsys.readouterr().err
+        assert not missing.exists()
+        assert not any(path.exists() for path in outputs.values())
+
+    def test_valid_fraction_that_empties_the_holdout_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "eight.csv"
+        data.write_text("x,y\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(8)))
+        out = tmp_path / "m.bundle"
+        code = main(["fit", "--data", str(data), "--target", "y", "--budget", "2",
+                     "--valid-fraction", "0.01", "--out", str(out)])
+        assert code == 2
+        assert "valid_fraction 0.01 of 8 rows gives 0 holdout rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         code = main([
             "fit", "--data", str(tmp_path / "absent.csv"), "--target", "y",

@@ -384,6 +384,21 @@ class TestSplitHoldout:
             split_holdout(d, 0.9, seed=1, stratify=True)
         assert split_holdout(d, 0.8, seed=1, stratify=True)[1].n_rows == 8
 
+    @pytest.mark.parametrize("fraction,sides", [
+        (0.05, "0 holdout rows and 8 training rows"),
+        (0.95, "8 holdout rows and 0 training rows"),
+    ], ids=["empty-holdout", "empty-training"])
+    @pytest.mark.parametrize("stratify", [False, True], ids=["plain", "stratified"])
+    def test_an_empty_side_names_the_fraction_and_the_row_counts(self, fraction, sides, stratify):
+        y = np.asarray(["a", "b"] * 4, dtype=object)
+        d = Dataset(
+            (Column("x", "numeric", np.arange(8.0)), Column("y", "categorical", y)),
+            "y",
+            "binary",
+        )
+        with pytest.raises(DataError, match=f"valid_fraction {fraction} of 8 rows gives {sides}"):
+            split_holdout(d, fraction, seed=1, stratify=stratify)
+
     def test_stratified_proportions_within_one_row(self):
         d = binary_margin_dataset(97, seed=5)
         _, valid = split_holdout(d, 0.2, seed=3, stratify=True)

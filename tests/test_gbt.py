@@ -222,7 +222,7 @@ class TestExactSplitOracle:
             g = -y  # squared loss at scores 0
             h = np.ones(n)
             tree = build_tree(
-                X, g, h, max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0
+                X, g, h, cfg=GBTConfig(max_depth=1, reg_lambda=0.0, reg_alpha=0.0, gamma=0.0, eta=1.0)
             )
             oracle, margin = depth1_oracle(X, g, h, 0.0)
             if tree.feature[0] < 0:
@@ -233,9 +233,14 @@ class TestExactSplitOracle:
 
 def depth1_tree(X, g, h, lam=0.0, cols=None, alpha=0.0):
     return build_tree(
-        X, g, h, max_depth=1, reg_lambda=lam, reg_alpha=alpha, gamma=0.0, eta=1.0,
+        X, g, h, cfg=GBTConfig(max_depth=1, reg_lambda=lam, reg_alpha=alpha, gamma=0.0, eta=1.0),
         cols=None if cols is None else np.asarray(cols),
     )
+
+
+def tree_args(cols=None, **settings):
+    """build_tree's keywords for a case's settings: its columns and one GBTConfig of the rest."""
+    return dict(cols=cols, cfg=GBTConfig(**settings))
 
 
 @st.composite
@@ -289,8 +294,8 @@ class TestSplitTieRule:
         rows = np.sort(rng.choice(60, size=33, replace=False))
         kw = dict(max_depth=4, reg_lambda=1.0, reg_alpha=0.1, gamma=0.0, eta=0.3,
                   colsample_bylevel=0.75)
-        on_rows = build_tree(X, g, h, rows, rng=np.random.default_rng(3), **kw)
-        copied = build_tree(X[rows], g[rows], h[rows], rng=np.random.default_rng(3), **kw)
+        on_rows = build_tree(X, g, h, rows, rng=np.random.default_rng(3), **tree_args(**kw))
+        copied = build_tree(X[rows], g[rows], h[rows], rng=np.random.default_rng(3), **tree_args(**kw))
         assert on_rows.feature[0] >= 0
         for got, want in zip(on_rows, copied):
             np.testing.assert_array_equal(got, want)
@@ -375,7 +380,7 @@ class TestGrowthMatchesApplication:
     @given(tree_cases())
     def test_leaves_hold_the_rows_the_walk_sends_them(self, case):
         X, g, h, params = case
-        tree = build_tree(X, g, h, **params)
+        tree = build_tree(X, g, h, **tree_args(**params))
         leaf = np.asarray([walk_to_leaf(tree, x) for x in X])
         np.testing.assert_array_equal(_tree_outputs(tree, X), tree.value[leaf])
         for node in np.flatnonzero(tree.feature < 0):
@@ -496,7 +501,7 @@ class TestGrowthMatchesPerNodeSort:
     @given(growth_cases())
     def test_sorted_blocks_grow_the_tree_of_a_sort_per_node(self, case):
         X, g, h, rows, params, seed = case
-        got = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        got = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **tree_args(**params))
         want = reference_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
         for name, a, b in zip(Tree._fields, got, want):
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -507,14 +512,14 @@ class TestMinChildWeight:
     @given(growth_cases())
     def test_split_children_are_heavy_enough(self, case):
         X, g, h, rows, params, seed = case
-        tree = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **params)
+        tree = build_tree(X, g, h, rows, rng=np.random.default_rng(seed), **tree_args(**params))
         assert_children_weigh_at_least(tree, X, h, rows, MIN_CHILD_WEIGHT)
 
     def test_a_node_lighter_than_two_children_is_not_searched(self):
         # h sums to 1.8 < 2 * MIN_CHILD_WEIGHT, so the search returns before
         # it reads X, the sorted block or the columns.
         gh = np.asarray([[-3.0, 3.0], [0.9, 0.9]])
-        assert gbt._best_split(None, gh, np.arange(2), None, None, 0.0, 0.0, 0.0, MIN_CHILD_WEIGHT) is None
+        assert gbt._best_split(None, gh, np.arange(2), None, None, GBTConfig(), MIN_CHILD_WEIGHT) is None
 
     def test_one_row_heavier_than_two_children_is_a_leaf(self):
         tree = depth1_tree(np.asarray([[1.0]]), np.asarray([-3.0]), np.asarray([5.0]))

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from autoboost.encoding import transform
 from autoboost.gbt import predict as gbt_predict
 from autoboost.metrics import logloss, mmce, rmse
 from autoboost.smbo import SPACE, TuneError, decode_config
+from autoboost import pipeline
 from autoboost.cli import main
 from autoboost.pipeline import (
     AutoConfig,
@@ -178,6 +181,19 @@ class TestFit:
         )
         with pytest.raises(ValueError, match="deadline must be a finite number of seconds"):
             autogbt_fit(d, AutoConfig(budget=2, deadline=deadline, max_rounds=2))
+
+    @pytest.mark.parametrize("field", ["max_rounds", "patience"])
+    def test_limit_below_one_errors_before_any_evaluation(self, field):
+        # Inside an evaluation the limit would fail every one, each with a
+        # warning, and then the tuner; checked first, no split or tuning runs.
+        train = binary_margin_dataset(60, seed=8)
+        with mock.patch.object(pipeline, "split_holdout") as split, \
+                mock.patch.object(pipeline, "tune") as tune, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+                autogbt_fit(train, AutoConfig(budget=4, deadline=60.0, **{field: 0}))
+        split.assert_not_called()
+        tune.assert_not_called()
 
     def test_budget_below_two_names_the_budget(self):
         train = binary_margin_dataset(60, seed=8)
